@@ -76,14 +76,17 @@ def cmd_scs_definetti(args) -> int:
 
 
 def cmd_scs_gen(args) -> int:
-    if args.kind == "prototypical":
-        structure = scs.prototypical(int(args.arg))
-    else:
-        values = [int(v) for v in args.arg.split(",")]
-        N = int(args.N) if args.N is not None else len(values) - 1
-        if len(values) < N + 1:
-            values = values + list(range(len(values), N + 1))
-        structure = scs.from_ell(values, N)
+    try:
+        if args.kind == "prototypical":
+            structure = scs.prototypical(int(args.arg))
+        else:
+            values = [int(v) for v in args.arg.split(",")]
+            N = int(args.N) if args.N is not None else len(values) - 1
+            if len(values) < N + 1:
+                values = values + list(range(len(values), N + 1))
+            structure = scs.from_ell(values, N)
+    except ValueError as exc:
+        raise FormatError(f"scs gen {args.kind} {args.arg}: {exc}") from None
     _write_or_print(args, io_json.scs_to_dict(structure))
     return 0
 

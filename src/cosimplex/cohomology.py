@@ -28,7 +28,7 @@ from .linalg import (
     subspace_intersection,
     subspace_leq,
 )
-from .scs import TruncatedSCS
+from .scs import CheckReport, TruncatedSCS
 
 
 @dataclass
@@ -239,20 +239,7 @@ def explicit_cocycles(scs: TruncatedSCS, k: int, cx: CochainComplex | None = Non
     return vectors
 
 
-@dataclass
-class CocycleIdentityReport:
-    checks: list  # (name, level-info, ok)
-    failures: list
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def to_dict(self):
-        return {"ok": self.ok, "checks": self.checks, "failures": self.failures}
-
-
-def check_cocycle_identities(scs: TruncatedSCS) -> CocycleIdentityReport:
+def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
     """Verify the general cocycle identities as exact subspace statements.
 
     Checked at every computable level: cocycles meeting a lower cochain space
@@ -262,13 +249,7 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CocycleIdentityReport:
     """
     N = scs.max_level
     cx = build_complex(scs)
-    checks = []
-    failures = []
-
-    def record(name, info, ok):
-        checks.append({"check": name, **info, "ok": ok})
-        if not ok:
-            failures.append({"check": name, **info})
+    report = CheckReport()
 
     def embed(vec_cols, src_level, dst_level):
         """Coefficient vectors over basis(src) written over basis(dst)."""
@@ -296,7 +277,7 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CocycleIdentityReport:
             lower_cols.append(tuple(v))
         zc = subspace_intersection(Z_k, lower_cols)
         bc = subspace_intersection(B_k, lower_cols)
-        record(
+        report.record(
             "cocycles-meet-lower-equals-coboundaries-meet-lower",
             {"level": k},
             subspace_equal(zc, bc),
@@ -308,7 +289,7 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CocycleIdentityReport:
             img = extended_coboundary(scs, k - 1, vec)
             if img != vec:
                 ok_fp = False
-        record("cocycles-are-coboundary-fixed-points", {"level": k}, ok_fp)
+        report.record("cocycles-are-coboundary-fixed-points", {"level": k}, ok_fp)
 
     # two-step evaluation d^k on lower-level cochains
     for k in range(-1, N):
@@ -329,7 +310,7 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CocycleIdentityReport:
                     rhs = low
                 if lhs != rhs:
                     ok = False
-            record("two-step-coboundary", {"k": k, "l": l}, ok)
+            report.record("two-step-coboundary", {"k": k, "l": l}, ok)
 
     # cocycles two levels up restrict to the same cocycles
     for k in range(0, N - 2):
@@ -344,6 +325,6 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CocycleIdentityReport:
             lower_cols.append(tuple(v))
         meet = subspace_intersection(Z_k2, lower_cols)
         lifted = embed(Z_k, k, k + 2)
-        record("cocycle-stability-two-up", {"level": k}, subspace_equal(meet, lifted))
+        report.record("cocycle-stability-two-up", {"level": k}, subspace_equal(meet, lifted))
 
-    return CocycleIdentityReport(checks, failures)
+    return report

@@ -125,9 +125,15 @@ def tower_from_dict(data: dict) -> HilbertTower:
         for entry in data["levels"]:
             k = int(entry["level"])
             if "basis_indices" in entry:
+                indices = entry["basis_indices"]
+                bad = [idx for idx in indices if not 0 <= idx < dim]
+                if bad:
+                    raise FormatError(
+                        f"level {k}: basis indices {bad} outside range({dim})"
+                    )
                 cols = [
                     tuple(Fraction(1) if r == idx else Fraction(0) for r in range(dim))
-                    for idx in entry["basis_indices"]
+                    for idx in indices
                 ]
                 by_level[k] = Matrix.from_columns(cols, nrows=dim)
             else:

@@ -96,14 +96,6 @@ class Label:
             return self
         return Label(self._bits[:i] + (0,) + self._bits[i:])
 
-    def delete_zero(self, i: int) -> "Label":
-        """Inverse of insert_zero; position i must carry a 0."""
-        if self.bit(i) != 0:
-            raise ValueError(f"bit {i} is not 0")
-        if i > self.level:
-            return self
-        return Label(self._bits[:i] + self._bits[i + 1 :])
-
     def transpose(self, j: int) -> "Label":
         """Swap bits at positions j-1 and j (the j-th adjacent transposition)."""
         if j < 1:
@@ -192,10 +184,6 @@ class LambdaMorphism:
         """Coordinatewise gap increase; the multidegree of the morphism."""
         u, v = self.source.upsilon(), self.target.upsilon()
         return tuple(b - a for a, b in zip(u, v))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.source == self.target
 
 
 def is_morphism(source: Label, target: Label) -> bool:

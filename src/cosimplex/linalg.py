@@ -99,9 +99,6 @@ class Matrix:
             ncols=self.ncols,
         )
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c):
         c = _frac(c)
         return Matrix([[c * x for x in row] for row in self.rows], ncols=self.ncols)
@@ -354,18 +351,30 @@ def gram_schmidt(vectors):
     return out
 
 
+def partial_isometry(src: Matrix, dst: Matrix) -> Matrix:
+    """The map dst (srcᵀ src)⁻¹ srcᵀ: column j of ``src`` goes to column j of
+    ``dst`` and the orthogonal complement of span(src) to zero.
+
+    ``src`` needs independent columns; with none it is the zero map.
+    """
+    if src.ncols == 0:
+        return Matrix.zeros(dst.nrows, src.nrows)
+    G = src.transpose() * src
+    return dst * G.inverse() * src.transpose()
+
+
 def projection_matrix(basis_vectors, dim):
     """Orthogonal projection onto span of the given ambient vectors."""
-    basis = span_basis(basis_vectors)
-    if not basis:
-        return Matrix.zeros(dim, dim)
-    B = Matrix.from_columns(basis, nrows=dim)
-    G = B.transpose() * B
-    return B * G.inverse() * B.transpose()
+    B = Matrix.from_columns(span_basis(basis_vectors), nrows=dim)
+    return partial_isometry(B, B)
 
 
-def gram(mat: Matrix) -> Matrix:
-    return mat.transpose() * mat
+def fixed_vectors(A: Matrix, B: Matrix) -> list:
+    """Nonzero primitive vectors B x, one per kernel column x of A B - B:
+    they span the part of span(B) that A fixes."""
+    ker = (A * B - B).kernel()
+    vectors = (primitive(B * ker.column(j)) for j in range(ker.ncols))
+    return [v for v in vectors if not is_zero_vector(v)]
 
 
 def fraction_sqrt(x) -> Fraction | None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidStructureError, TruncationError
 from .labels import Label, enumerate_labels, insertion_sequence, join
-from .scs import TruncatedSCS, normal_label_bits, validate
+from .scs import TruncatedSCS, infer_normal_labels, normal_label_bits, preimages, validate
 
 
 def normal_label(scs: TruncatedSCS, y) -> Label:
@@ -49,31 +49,7 @@ class NormalLabelTable:
 
 
 def normal_label_table(scs: TruncatedSCS) -> NormalLabelTable:
-    N = scs.max_level
-    labels = {}
-    inferred = set()
-    unknown = set()
-    for y, lv in scs.levels.items():
-        if lv <= N - 1:
-            labels[y] = normal_label(scs, y)
-    for y, lv in scs.levels.items():
-        if lv <= N - 1:
-            continue
-        candidates = set()
-        for i in range(max(0, N)):
-            for x, target in scs.shifts[i].items():
-                if target == y and x in labels and scs.levels[x] <= N - 1:
-                    candidates.add(labels[x].insert_zero(i))
-        if not candidates:
-            unknown.add(y)
-        elif len(candidates) > 1:
-            raise InvalidStructureError(
-                f"conflicting inferred labels {sorted(map(str, candidates))} for "
-                f"element {scs.name(y)}"
-            )
-        else:
-            labels[y] = candidates.pop()
-            inferred.add(y)
+    labels, inferred, unknown = infer_normal_labels(scs)
     return NormalLabelTable(labels, frozenset(inferred), frozenset(unknown))
 
 
@@ -121,19 +97,12 @@ def root_elements(scs: TruncatedSCS) -> frozenset:
     y is a root when y ∉ α_i(X_{level(y)-1}) for every i; these generate the
     structure level by level.
     """
-    roots = set()
-    for y, lv in scs.levels.items():
-        hit = False
-        for i, mapping in enumerate(scs.shifts):
-            for x, target in mapping.items():
-                if target == y and scs.levels[x] <= lv - 1:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            roots.add(y)
-    return frozenset(roots)
+    index = preimages(scs)
+    return frozenset(
+        y
+        for y, lv in scs.levels.items()
+        if not any(scs.levels[x] <= lv - 1 for _, x in index.get(y, ()))
+    )
 
 
 def labeled_subsets(scs: TruncatedSCS, max_level: int | None = None) -> dict:
@@ -200,12 +169,6 @@ class ClassPartition:
     classes: list  # list of sorted element-id lists
     table: NormalLabelTable
     undecided_pairs: list
-
-    def class_of(self, y):
-        for idx, cls in enumerate(self.classes):
-            if y in cls:
-                return idx
-        raise KeyError(y)
 
 
 def equivalence_classes(scs: TruncatedSCS) -> ClassPartition:

@@ -114,6 +114,26 @@ class ValidationReport:
         }
 
 
+@dataclass
+class CheckReport:
+    """Named checks in the order run; ``failures`` repeats the failed ones."""
+
+    checks: list = field(default_factory=list)
+    failures: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def record(self, name, info, ok):
+        self.checks.append({"check": name, **info, "ok": ok})
+        if not ok:
+            self.failures.append({"check": name, **info})
+
+    def to_dict(self):
+        return {"ok": self.ok, "checks": self.checks, "failures": self.failures}
+
+
 def validate(scs: TruncatedSCS) -> ValidationReport:
     """Check every defining invariant of a truncated structure.
 
@@ -347,53 +367,50 @@ def normal_label_bits(scs: TruncatedSCS, y) -> tuple:
     return tuple(bits)
 
 
-def _relevel_map(scs: TruncatedSCS):
-    """New level for every element: the level of its normal label.
+def preimages(scs: TruncatedSCS) -> dict:
+    """Reverse shift index: y -> [(i, x), ...] for every stored α_i(x) = y,
+    in shift order, then in the order of each shift map."""
+    out = {}
+    for i, mapping in enumerate(scs.shifts):
+        for x, y in mapping.items():
+            out.setdefault(y, []).append((i, x))
+    return out
 
-    Exact for elements of level <= N-1.  A level-N element that is the image
-    of a computable element under some shift inherits its level through the
-    insertion identity; conflicting inferences expose an inconsistent
-    structure.  Returns (levels, inferred, unknown).
+
+def infer_normal_labels(scs: TruncatedSCS):
+    """Normal labels of every determinable element: (labels, inferred, unknown).
+
+    Labels of elements of level <= N-1 are computed directly.  A level-N
+    element that is the image of such an element under some shift inherits
+    its label through the insertion identity (``inferred``); one that is no
+    such image stays ``unknown``.  Conflicting inferences expose an
+    inconsistent structure.
     """
     from .labels import Label  # local import to keep module load cheap
 
     N = scs.max_level
-    new_levels = {}
+    exact = {
+        y: Label(normal_label_bits(scs, y)) for y, lv in scs.levels.items() if lv <= N - 1
+    }
+    labels = dict(exact)
     inferred = set()
     unknown = set()
-    exact_labels = {}
-    for y, lv in scs.levels.items():
-        if lv <= N - 1:
-            lab = Label(normal_label_bits(scs, y))
-            exact_labels[y] = lab
-            new_levels[y] = lab.level
+    index = preimages(scs)
     for y, lv in scs.levels.items():
         if lv <= N - 1:
             continue
-        candidates = set()
-        for i in range(max(0, N)):
-            for x, target in scs.shifts[i].items():
-                if target == y and x in exact_labels:
-                    candidates.add(exact_labels[x].insert_zero(i))
+        candidates = {exact[x].insert_zero(i) for i, x in index.get(y, ()) if x in exact}
         if not candidates:
             unknown.add(y)
-            new_levels[y] = lv
         elif len(candidates) > 1:
             raise InvalidStructureError(
                 f"conflicting inferred labels {sorted(map(str, candidates))} for "
                 f"element {scs.name(y)}: not a truncation of any semi-cosimplicial set"
             )
         else:
-            new_level = candidates.pop().level
-            if new_level < N:
-                # the element would enter the shift domain, but its shifts
-                # were never stored: the truncation cannot represent this
-                unknown.add(y)
-                new_levels[y] = lv
-            else:
-                new_levels[y] = new_level
-                inferred.add(y)
-    return new_levels, inferred, unknown
+            labels[y] = candidates.pop()
+            inferred.add(y)
+    return labels, inferred, unknown
 
 
 def saturate(scs: TruncatedSCS, strict: bool = True) -> TruncatedSCS:
@@ -404,7 +421,15 @@ def saturate(scs: TruncatedSCS, strict: bool = True) -> TruncatedSCS:
     Level-N elements whose new level cannot be determined raise
     ``TruncationError`` (or keep their level when strict=False).
     """
-    new_levels, _inferred, unknown = _relevel_map(scs)
+    labels, inferred, unknown = infer_normal_labels(scs)
+    new_levels = dict(scs.levels)
+    for y, lab in labels.items():
+        if y in inferred and lab.level < scs.max_level:
+            # the element would enter the shift domain, but its shifts were
+            # never stored: the truncation cannot represent this
+            unknown.add(y)
+        else:
+            new_levels[y] = lab.level
     if unknown and strict:
         raise TruncationError(
             "cannot determine saturated levels for: "

@@ -14,15 +14,14 @@ K inner product given by G, and the operator angle is G^{-1} Ĉ for the raw
 angle Ĉ = ι_j^T ι_i.  This keeps classical unnormalized examples exact.
 
 Exact rational arithmetic throughout; a parallel floating path (tolerance τ)
-covers positive contractions whose square roots are irrational.
+covers positive contractions whose square roots are irrational.  Only the
+floating path needs numpy, and it imports it on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import NotSpreadableError, PreconditionError
 from .linalg import (
@@ -31,8 +30,9 @@ from .linalg import (
     fraction_sqrt,
     is_psd,
     is_symmetric,
+    partial_isometry,
     projection_matrix,
-    span_basis,
+    subspace_leq,
 )
 from .tower import HilbertTower
 
@@ -103,7 +103,7 @@ def operator_angle(family: SpreadableFamily) -> AngleReport:
     contraction = is_psd(G - raw) if positive else False
     fixed_identity = None
     if family.ambient_shifts:
-        Q = _ambient_fixed_projection(family)
+        Q = _fixed_projection(family.ambient_shifts[0])
         fixed_identity = (
             family.iota(1).transpose() * Q * family.iota(0) == raw
             and family.iota(0).transpose() * Q * family.iota(0) == raw
@@ -112,10 +112,10 @@ def operator_angle(family: SpreadableFamily) -> AngleReport:
     return AngleReport(raw, C_op, positive, contraction, Fraction(0), fixed_identity)
 
 
-def _ambient_fixed_projection(family: SpreadableFamily) -> Matrix:
-    A0 = family.ambient_shifts[0]
-    ker = (A0 - Matrix.identity(family.ambient_dim)).kernel()
-    return projection_matrix(ker.columns(), family.ambient_dim)
+def _fixed_projection(A: Matrix) -> Matrix:
+    """Orthogonal projection onto the fixed space of an ambient shift."""
+    ker = (A - Matrix.identity(A.nrows)).kernel()
+    return projection_matrix(ker.columns(), A.nrows)
 
 
 # -- construction from a positive contraction ----------------------------------------
@@ -198,16 +198,13 @@ def minimal_sch(family: SpreadableFamily) -> HilbertTower:
     """
     N = family.count - 1
     ambient = family.ambient_dim
+    cols = [family.iota(k).column(t) for k in range(N + 1) for t in range(family.k_dim)]
+    pivots = Matrix.from_columns(cols, nrows=ambient).independent_columns()
     level_bases = [Matrix.zeros(ambient, 0)]
-    selected: list = []
-    selected_cols: list = []
     for k in range(N + 1):
-        for t in range(family.k_dim):
-            col = family.iota(k).column(t)
-            if span_basis(selected_cols + [col]) != span_basis(selected_cols):
-                selected.append((k, t))
-                selected_cols.append(col)
-        level_bases.append(Matrix.from_columns(list(selected_cols), nrows=ambient))
+        # the first-come independent columns among those of ι_0..ι_k
+        chosen = [cols[p] for p in pivots if p < (k + 1) * family.k_dim]
+        level_bases.append(Matrix.from_columns(chosen, nrows=ambient))
     shifts = []
     for n in range(N):
         span_cols = []
@@ -231,19 +228,11 @@ def minimal_sch(family: SpreadableFamily) -> HilbertTower:
 
 
 def _solve_operator(span_cols, image_cols, ambient) -> Matrix:
-    """Matrix agreeing with src -> img on the span (zero on a complement)."""
-    sel_idx = []
-    sel = []
-    for idx, col in enumerate(span_cols):
-        if span_basis(sel + [col]) != span_basis(sel):
-            sel_idx.append(idx)
-            sel.append(col)
-    if not sel:
-        return Matrix.zeros(ambient, ambient)
-    S = Matrix.from_columns(sel, nrows=ambient)
-    T = Matrix.from_columns([image_cols[i] for i in sel_idx], nrows=ambient)
-    G = S.transpose() * S
-    return T * G.inverse() * S.transpose()
+    """Matrix agreeing with src -> img on the span (zero on its complement)."""
+    sel = Matrix.from_columns(span_cols, nrows=ambient).independent_columns()
+    S = Matrix.from_columns([span_cols[i] for i in sel], nrows=ambient)
+    T = Matrix.from_columns([image_cols[i] for i in sel], nrows=ambient)
+    return partial_isometry(S, T)
 
 
 def roundtrip_from_sch(tower: HilbertTower) -> SpreadableFamily:
@@ -315,7 +304,7 @@ def check_theorem_C(family: SpreadableFamily) -> TheoremCReport:
         )
     report_failures = []
     angle = operator_angle(family)
-    Q = _ambient_fixed_projection(family)
+    Q = _fixed_projection(family.ambient_shifts[0])
     I = Matrix.identity(family.ambient_dim)
     comps = [(I - Q) * family.iota(n) for n in range(family.count)]
     ortho = True
@@ -355,20 +344,13 @@ def _generated_saturated(family: SpreadableFamily, tower: HilbertTower, Q0: Matr
     then serves as the level -1 space) and the fixed space of every higher
     shift n lies inside level n-1.
     """
-    from .linalg import projection_matrix, subspace_leq
-
     span_cols = [
         family.iota(n).column(t)
         for n in range(family.count)
         for t in range(family.k_dim)
     ]
     for n in range(0, tower.max_level):
-        if n == 0:
-            Q = Q0
-        else:
-            A = family.ambient_shifts[n]
-            ker = (A - Matrix.identity(family.ambient_dim)).kernel()
-            Q = projection_matrix(ker.columns(), family.ambient_dim)
+        Q = Q0 if n == 0 else _fixed_projection(family.ambient_shifts[n])
         effective_fixed = [Q * col for col in span_cols]
         bound = tower.basis(max(n - 1, 0)).columns()
         if not subspace_leq(effective_fixed, bound):
@@ -459,6 +441,8 @@ class FloatSpreadableFamily:
 def float_from_contraction(C: np.ndarray, N: int) -> FloatSpreadableFamily:
     """Floating analogue of :func:`from_contraction` for arbitrary positive
     contractions, using symmetric eigendecomposition square roots."""
+    import numpy as np
+
     C = np.asarray(C, dtype=float)
     k = C.shape[0]
     if C.shape != (k, k) or not np.allclose(C, C.T, atol=1e-12):
@@ -486,6 +470,8 @@ def float_from_contraction(C: np.ndarray, N: int) -> FloatSpreadableFamily:
 
 def float_operator_angle(family: FloatSpreadableFamily, tol: float = 1e-10):
     """(angle, max deviation over pairs); raises when not spreadable."""
+    import numpy as np
+
     raw = family.isometries[1].T @ family.isometries[0]
     deviation = 0.0
     for j in range(1, len(family.isometries)):
@@ -499,6 +485,8 @@ def float_operator_angle(family: FloatSpreadableFamily, tol: float = 1e-10):
 
 def float_check_theorem_C(family: FloatSpreadableFamily, tol: float = 1e-10) -> dict:
     """Floating verification of the conditional-orthogonality statement."""
+    import numpy as np
+
     if family.shift0 is None:
         raise PreconditionError("the ambient must carry the bottom shift")
     raw, deviation = float_operator_angle(family, tol)

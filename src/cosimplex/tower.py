@@ -25,17 +25,17 @@ from .labels import Label, enumerate_labels, insertion_sequence, transpose_actio
 from .linalg import (
     Matrix,
     dot,
+    fixed_vectors,
     gram_schmidt,
-    is_zero_vector,
     orthogonal_complement_within,
-    primitive,
+    partial_isometry,
     projection_matrix,
     span_basis,
     subspace_equal,
     subspace_leq,
     try_orthonormal_basis,
 )
-from .scs import TruncatedSCS
+from .scs import CheckReport, TruncatedSCS
 
 
 @dataclass
@@ -81,33 +81,13 @@ class HilbertTower:
         return self.alpha(i)
 
 
-@dataclass
-class TowerReport:
-    checks: list
-    failures: list
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def to_dict(self):
-        return {"ok": self.ok, "checks": self.checks, "failures": self.failures}
-
-
-def _record(report: TowerReport, name, info, ok):
-    report.checks.append({"check": name, **info, "ok": ok})
-    if not ok:
-        report.failures.append({"check": name, **info})
-
-
-def check_tower(tower: HilbertTower) -> TowerReport:
+def check_tower(tower: HilbertTower) -> CheckReport:
     """Verify nesting, isometry, exchange relations, adaptedness and fixed
     action on the truncated data."""
-    report = TowerReport([], [])
+    report = CheckReport()
     N = tower.max_level
     for k in range(-1, N):
-        _record(
-            report,
+        report.record(
             "nesting",
             {"level": k},
             subspace_leq(tower.basis(k).columns(), tower.basis(k + 1).columns()),
@@ -116,8 +96,7 @@ def check_tower(tower: HilbertTower) -> TowerReport:
     for i in range(max(0, N)):
         A = tower.shifts[i]
         img = A * dom
-        _record(
-            report,
+        report.record(
             "isometry",
             {"i": i},
             img.transpose() * img == dom.transpose() * dom,
@@ -128,18 +107,17 @@ def check_tower(tower: HilbertTower) -> TowerReport:
             for i in range(j):
                 lhs = tower.alpha(j) * (tower.alpha(i) * deep)
                 rhs = tower.alpha(i) * (tower.alpha(j - 1) * deep)
-                _record(report, "exchange", {"i": i, "j": j}, lhs == rhs)
+                report.record("exchange", {"i": i, "j": j}, lhs == rhs)
     for i in range(max(0, N)):
         for k in range(-1, N):
             img = tower.alpha(i) * tower.basis(k)
-            _record(
-                report,
+            report.record(
                 "adaptedness",
                 {"i": i, "level": k},
                 subspace_leq(img.columns(), tower.basis(k + 1).columns()),
             )
         low = tower.basis(i - 1)
-        _record(report, "fixed-action", {"i": i}, tower.alpha(i) * low == low)
+        report.record("fixed-action", {"i": i}, tower.alpha(i) * low == low)
     return report
 
 
@@ -192,13 +170,7 @@ def fixed_space(tower: HilbertTower, n: int):
     N = tower.max_level
     if not (0 <= n <= N - 1):
         raise ValueError(f"fixed_space needs 0 <= n <= {N - 1}, got {n}")
-    B = tower.basis(N - 1)
-    diff = tower.alpha(n) * B - B
-    ker = diff.kernel()
-    vectors = [
-        primitive(B * ker.column(j)) for j in range(ker.ncols)
-    ]
-    vectors = [v for v in vectors if not is_zero_vector(v)]
+    vectors = fixed_vectors(tower.alpha(n), tower.basis(N - 1))
     flag = tower.dim(N) > tower.dim(N - 1)
     return span_basis(vectors), flag
 
@@ -212,7 +184,7 @@ def fixed_projection(tower: HilbertTower, n: int) -> Matrix:
 # -- saturation dictionary at the matrix level ---------------------------------------
 
 
-def check_toy_definetti(tower: HilbertTower) -> TowerReport:
+def check_toy_definetti(tower: HilbertTower) -> CheckReport:
     """Matrix-level saturation dictionary.
 
     Verifies, with truncation caveats where exactness is impossible: the
@@ -220,7 +192,7 @@ def check_toy_definetti(tower: HilbertTower) -> TowerReport:
     down the tower levels, the single-shift reduction, and the projection
     intertwining relation P̂_n α_i = α_i P̂_{n-1} for i <= n.
     """
-    report = TowerReport([], [])
+    report = CheckReport()
     N = tower.max_level
     innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
     shifts_innov = {}
@@ -232,48 +204,32 @@ def check_toy_definetti(tower: HilbertTower) -> TowerReport:
                 ok = False
         shifts_innov[n] = ok
         # observation, not an invariant: records whether innovations shift
-        report.checks.append({"check": "innovations-shift", "n": n, "holds": ok, "ok": True})
+        report.record("innovations-shift", {"n": n, "holds": ok}, True)
         # single top shift forces all lower ones (exactly decidable per level)
         top = subspace_leq([tower.alpha(n) * v for v in innov[n]], innov[n + 1])
-        _record(report, "one-for-all", {"n": n}, (not top) or ok)
+        report.record("one-for-all", {"n": n}, (not top) or ok)
     for n in range(0, N):
         fix, flag = fixed_space(tower, n)
         sat = subspace_equal(fix, tower.basis(n - 1).columns())
-        report.checks.append(
-            {
-                "check": "saturated-at-level",
-                "level": n - 1,
-                "holds": sat,
-                "truncation_limited": flag,
-                "ok": True,  # informational
-            }
+        report.record(  # informational
+            "saturated-at-level",
+            {"level": n - 1, "holds": sat, "truncation_limited": flag},
+            True,
         )
         if sat and not shifts_innov.get(n, True):
-            _record(report, "saturation-implies-innovation-shift", {"n": n}, False)
+            report.record("saturation-implies-innovation-shift", {"n": n}, False)
         if shifts_innov.get(n) and not sat:
             # failure of the converse implication: not a violation, recorded
-            report.checks.append(
-                {"check": "converse-second-implication-fails", "n": n, "ok": True}
-            )
+            report.record("converse-second-implication-fails", {"n": n}, True)
         top_hypothesis = all(
             subspace_leq([tower.alpha(n) * v for v in innov[k]], innov[k + 1])
             for k in range(n, N)
         )
         if sat and not top_hypothesis:
-            report.checks.append(
-                {
-                    "check": "converse-first-implication-fails-or-truncation",
-                    "n": n,
-                    "ok": True,
-                }
-            )
+            report.record("converse-first-implication-fails-or-truncation", {"n": n}, True)
         if top_hypothesis and not sat:
-            report.checks.append(
-                {
-                    "check": "top-hypothesis-holds-but-unsaturated-on-truncation",
-                    "n": n,
-                    "ok": True,
-                }
+            report.record(
+                "top-hypothesis-holds-but-unsaturated-on-truncation", {"n": n}, True
             )
     # projection intertwining: the projection onto the fixed space of a shift
     # commutes past lower shifts one level down, tested on H_{N-2}
@@ -284,7 +240,7 @@ def check_toy_definetti(tower: HilbertTower) -> TowerReport:
             for i in range(0, n + 1):
                 left = projections[n + 1] * (tower.alpha(i) * dom)
                 right = tower.alpha(i) * (projections[n] * dom)
-                _record(report, "projection-intertwining", {"n": n, "i": i}, left == right)
+                report.record("projection-intertwining", {"n": n, "i": i}, left == right)
     return report
 
 
@@ -364,12 +320,10 @@ def _adjoint_on_level(tower: HilbertTower, i: int, k: int) -> Matrix:
     """Ambient matrix of the adjoint of the coface H_{k-1} -> H_k, extended by
     zero off H_k; rational because the coface is isometric on H_{k-1}."""
     B = tower.basis(k - 1)
-    if B.ncols == 0:
-        return Matrix.zeros(tower.ambient_dim, tower.ambient_dim)
-    D = tower.coface(i, k) * B
-    G = B.transpose() * B
-    # delta* w = B G^{-1} (D^T w);   D^T D = G by isometry
-    return B * G.inverse() * D.transpose()
+    # delta* = B G^{-1} D^T with G = B^T B symmetric, so the transpose of the
+    # partial isometry B -> D; not the one D -> B, whose D^T D equals G only
+    # on towers that pass the isometry check
+    return partial_isometry(B, tower.coface(i, k) * B).transpose()
 
 
 def check_normal(tower: HilbertTower, details: bool = True) -> NormalityReport:
@@ -522,8 +476,7 @@ def build_symmetric_rep(tower: HilbertTower) -> HessenbergData:
             # both bases are isometric images of the same root basis, in order
             B = Matrix.from_columns(vs, nrows=tower.ambient_dim)
             T = Matrix.from_columns(tvs, nrows=tower.ambient_dim)
-            G = B.transpose() * B
-            U = U + T * G.inverse() * B.transpose()
+            U = U + partial_isometry(B, T)
         unitaries.append(U)
     data = HessenbergData(tower, unitaries)
     for j in range(1, N + 1):
@@ -544,7 +497,7 @@ def permutation_unitary(data: HessenbergData, word) -> Matrix:
 # -- checks for localized-unitary factorizations ---------------------------------------
 
 
-def check_hessenberg(data: HessenbergData) -> TowerReport:
+def check_hessenberg(data: HessenbergData) -> CheckReport:
     """Verify the localized-unitary axioms and the induced shift structure.
 
     Covers: fixity of two-levels-down spaces, invariance of higher levels,
@@ -555,7 +508,7 @@ def check_hessenberg(data: HessenbergData) -> TowerReport:
     generator-shift relation table, fixed spaces as joint fixed spaces, and
     the adjoint intertwining on saturated instances.
     """
-    report = TowerReport([], [])
+    report = CheckReport()
     tower = data.tower
     N = tower.max_level
     M = data.count
@@ -564,29 +517,26 @@ def check_hessenberg(data: HessenbergData) -> TowerReport:
     for k in range(1, M + 1):
         if k - 2 <= N:
             B = tower.basis(min(k - 2, N))
-            _record(report, "fixes-two-below", {"k": k}, data.u(k) * B == B)
+            report.record("fixes-two-below", {"k": k}, data.u(k) * B == B)
     for k in range(1, M + 1):
         for l in range(k, N + 1):
             B = tower.basis(l)
             img = (data.u(k) * B).columns()
-            _record(
-                report,
+            report.record(
                 "level-invariance",
                 {"k": k, "level": l},
                 subspace_equal(img, B.columns()),
             )
     for m in range(1, M + 1):
         for n in range(m + 2, M + 1):
-            _record(
-                report,
+            report.record(
                 "far-commutation",
                 {"m": m, "n": n},
                 data.u(m) * data.u(n) == data.u(n) * data.u(m),
             )
     for k in range(0, N):
         img = (data.u(k + 1) * tower.basis(k)).columns()
-        _record(
-            report,
+        report.record(
             "step-containment",
             {"k": k},
             subspace_leq(img, tower.basis(k + 1).columns()),
@@ -604,15 +554,14 @@ def check_hessenberg(data: HessenbergData) -> TowerReport:
             if k + 1 > M:
                 continue
             B = tower.basis(k)
-            _record(
-                report,
+            report.record(
                 "shift-as-product",
                 {"n": n, "k": k},
                 product_shift(n, k) * B == tower.alpha(n) * B,
             )
         for k in range(-1, n):
             B = tower.basis(k)
-            _record(report, "shift-fixes-low", {"n": n, "k": k}, tower.alpha(n) * B == B)
+            report.record("shift-fixes-low", {"n": n, "k": k}, tower.alpha(n) * B == B)
 
     # staircase block pattern: innovation components vanish above one step down
     innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
@@ -623,7 +572,7 @@ def check_hessenberg(data: HessenbergData) -> TowerReport:
             for m in range(l + 2, N + 1):
                 if any(any(dot(w, u) != 0 for u in innov[m]) for w in img):
                     ok = False
-        _record(report, "staircase-blocks", {"n": n}, ok)
+        report.record("staircase-blocks", {"n": n}, ok)
 
     # three equivalent exchange conditions, evaluated independently
     dom = tower.basis(N - 2) if N >= 1 else Matrix.zeros(tower.ambient_dim, 0)
@@ -649,11 +598,10 @@ def check_hessenberg(data: HessenbergData) -> TowerReport:
         rhs = data.u(j + 1) * data.u(j) * data.u(j + 1) * rng
         if lhs != rhs:
             cond3 = False
-    _record(report, "exchange-condition-1", {}, cond1)
-    _record(report, "exchange-condition-2", {}, cond2)
-    _record(report, "exchange-condition-3", {}, cond3)
-    _record(
-        report,
+    report.record("exchange-condition-1", {}, cond1)
+    report.record("exchange-condition-2", {}, cond2)
+    report.record("exchange-condition-3", {}, cond3)
+    report.record(
         "exchange-conditions-agree",
         {"verdicts": [cond1, cond2, cond3]},
         cond1 == cond2 == cond3,
@@ -676,38 +624,27 @@ def check_hessenberg(data: HessenbergData) -> TowerReport:
                 else:
                     rhs = tower.alpha(i) * (data.u(j) * dom)
                     name = "relation-high"
-                _record(report, name, {"j": j, "i": i}, lhs == rhs)
+                report.record(name, {"j": j, "i": i}, lhs == rhs)
 
     # fixed space of alpha_n = joint fixed space of the generators above n
     for n in range(0, N):
         fix, _ = fixed_space(tower, n)
         joint = tower.basis(N - 1).columns()
         for m in range(n + 1, M + 1):
-            joint = _joint_fixed(data, m, joint)
-        _record(report, "fixed-space-joint", {"n": n}, subspace_equal(fix, joint))
+            B = Matrix.from_columns(span_basis(joint), nrows=tower.ambient_dim)
+            joint = fixed_vectors(data.u(m), B)
+        report.record("fixed-space-joint", {"n": n}, subspace_equal(fix, joint))
     return report
 
 
-def _joint_fixed(data: HessenbergData, m: int, vectors):
-    """Basis of the subspace of span(vectors) fixed by u_m."""
-    basis = span_basis(vectors)
-    if not basis:
-        return []
-    B = Matrix.from_columns(basis, nrows=data.tower.ambient_dim)
-    diff = data.u(m) * B - B
-    ker = diff.kernel()
-    out = [primitive(B * ker.column(j)) for j in range(ker.ncols)]
-    return [v for v in out if not is_zero_vector(v)]
-
-
-def check_adjoint_intertwining(data: HessenbergData) -> TowerReport:
+def check_adjoint_intertwining(data: HessenbergData) -> CheckReport:
     """On a saturated instance, α_i* u_{j+1} = u_j α_i* for i < j.
 
     Saturation makes the adjoint of a shift computable within the truncation
     (it maps each level into the one below), so the identity can be tested on
     the full top level.
     """
-    report = TowerReport([], [])
+    report = CheckReport()
     tower = data.tower
     N = tower.max_level
     for n in range(0, N):
@@ -722,7 +659,7 @@ def check_adjoint_intertwining(data: HessenbergData) -> TowerReport:
             adjoint = tower.alpha(i).transpose()
             lhs = adjoint * (data.u(j + 1) * top)
             rhs = data.u(j) * (adjoint * top)
-            _record(report, "adjoint-intertwining", {"i": i, "j": j}, lhs == rhs)
+            report.record("adjoint-intertwining", {"i": i, "j": j}, lhs == rhs)
     return report
 
 

@@ -1,7 +1,12 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from cosimplex.cli import main
 from cosimplex.fixtures import example2_scs, figure2_scs, prototypical
@@ -85,6 +90,45 @@ def test_malformed_json_is_code_2(tmp_path, capsys):
 def test_missing_file_is_code_2(capsys):
     code, _, err = run(capsys, "scs", "validate", "no-such-file.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("arg", ["0,5,2", "0,x"])
+def test_gen_ell_bad_level_function_is_code_2(capsys, arg):
+    code, out, err = run(capsys, "scs", "gen", "ell", arg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_tower_basis_index_out_of_range_is_code_2(tmp_path, capsys):
+    payload = {
+        "max_level": 0,
+        "ambient_dim": 2,
+        "levels": [
+            {"level": -1, "basis_indices": []},
+            {"level": 0, "basis_indices": [5]},
+        ],
+    }
+    for indices in ([5], [-1], [0, 2]):
+        payload["levels"][1]["basis_indices"] = indices
+        path = write(tmp_path, "tower.json", payload)
+        code, out, err = run(capsys, "tower", "check", path)
+        assert code == 2
+        assert out == ""
+        assert "outside range(2)" in err
+    payload["levels"][1]["basis_indices"] = [1]
+    code, out, _ = run(capsys, "tower", "check", write(tmp_path, "tower.json", payload))
+    assert code == 0
+
+
+def test_exact_cli_import_leaves_numpy_unloaded():
+    probe = "import sys, cosimplex.cli; print('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_gen_and_cohomology_example(tmp_path, capsys):

@@ -1,0 +1,118 @@
+"""Exact linear algebra: partial isometries, fixed vectors, column selection
+and the determinism conventions of the kernel basis."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cosimplex.linalg import (
+    Matrix,
+    fixed_vectors,
+    orthogonal_complement_within,
+    partial_isometry,
+    projection_matrix,
+    span_basis,
+    subspace_equal,
+)
+
+F = Fraction
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def column_lists(min_cols=0, max_cols=5, min_rows=1, max_rows=4):
+    """Lists of same-length rational columns, zero and repeated ones included."""
+    return st.integers(min_rows, max_rows).flatmap(
+        lambda m: st.lists(
+            st.one_of(
+                st.lists(rationals, min_size=m, max_size=m).map(tuple),
+                st.just(tuple(F(0) for _ in range(m))),
+            ),
+            min_size=min_cols,
+            max_size=max_cols,
+        ).map(lambda cols: (m, cols))
+    )
+
+
+def mat(rows):
+    return Matrix([[F(x) for x in row] for row in rows])
+
+
+# a 4x2 source with independent, non-orthogonal columns and a 4x2 target
+B = mat([[1, 1], [2, 0], [0, 1], [1, 3]])
+D = mat([[3, 0], [0, 1], [1, 1], [0, 2]])
+
+
+def test_partial_isometry_maps_src_onto_dst():
+    P = partial_isometry(B, D)
+    assert P * B == D
+    for v in orthogonal_complement_within(B.columns(), Matrix.identity(4).columns()):
+        assert P * v == (F(0),) * 4
+
+
+def test_partial_isometry_of_a_basis_with_itself_is_the_projection():
+    assert partial_isometry(B, B) == projection_matrix(B.columns(), 4)
+
+
+def test_partial_isometry_of_an_empty_source_is_zero():
+    src = Matrix.zeros(3, 0)
+    dst = Matrix.zeros(5, 0)
+    P = partial_isometry(src, dst)
+    assert (P.nrows, P.ncols) == (5, 3)
+    assert P.is_zero()
+
+
+def test_transpose_matches_the_adjoint_formula_on_a_non_isometric_target():
+    # D is no isometric image of B: D^T D differs from the Gram B^T B
+    assert D.transpose() * D != B.transpose() * B
+    G = B.transpose() * B
+    reference = B * G.inverse() * D.transpose()
+    assert partial_isometry(B, D).transpose() == reference
+
+
+def test_fixed_vectors_span_the_fixed_part_of_the_basis():
+    swap = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    basis = mat([[1, 0], [0, 1], [0, 0]])
+    assert fixed_vectors(swap, basis) == [(F(1), F(1), F(0))]
+    assert fixed_vectors(swap, Matrix.zeros(3, 0)) == []
+    full = fixed_vectors(swap, Matrix.identity(3))
+    assert subspace_equal(full, [(1, 1, 0), (0, 0, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_lists())
+def test_independent_columns_is_the_greedy_span_basis_selection(data):
+    m, cols = data
+    greedy = []
+    chosen = []
+    for idx, col in enumerate(cols):
+        if span_basis(chosen + [col]) != span_basis(chosen):
+            greedy.append(idx)
+            chosen.append(col)
+    assert Matrix.from_columns(cols, nrows=m).independent_columns() == tuple(greedy)
+
+
+def test_kernel_basis_sets_one_free_variable_in_ascending_order():
+    A = mat([[1, 2, 0, 3], [0, 0, 1, 4]])
+    K = A.kernel()
+    # pivots 0 and 2; free variables 1 and 3, in that order
+    assert K.columns() == [
+        (F(-2), F(1), F(0), F(0)),
+        (F(-3), F(0), F(-4), F(1)),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_lists(min_cols=1))
+def test_kernel_basis_convention_on_random_matrices(data):
+    m, cols = data
+    A = Matrix.from_columns(cols, nrows=m)
+    pivots = set(A.independent_columns())
+    free = [c for c in range(A.ncols) if c not in pivots]
+    K = A.kernel()
+    assert K.ncols == len(free)
+    for j, fc in enumerate(free):
+        col = K.column(j)
+        assert [col[c] for c in free] == [F(1) if c == fc else F(0) for c in free]
+        assert A * col == (F(0),) * m

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cosimplex.errors import TruncationError
+from cosimplex.errors import InvalidStructureError, TruncationError
 from cosimplex.fixtures import (
     example2_scs,
     figure2_scs,
@@ -26,7 +26,14 @@ from cosimplex.normal_ext import (
     normal_label_table,
     root_elements,
 )
-from cosimplex.scs import check_saturation, disjoint_union, from_ell, saturate, validate
+from cosimplex.scs import (
+    TruncatedSCS,
+    check_saturation,
+    disjoint_union,
+    from_ell,
+    saturate,
+    validate,
+)
 
 
 def random_valid_ell(rng, N):
@@ -296,3 +303,58 @@ def test_antichain_finiteness_small_layers():
                 for b in mins:
                     if a != b:
                         assert not a.leq(b)
+
+
+# -- shared label inference ------------------------------------------------------------
+
+
+def test_conflicting_inference_raises_the_same_error_everywhere():
+    # element 3 is α_0(1) and α_1(2), whose labels insert to 011 and 101
+    scs = TruncatedSCS(
+        2,
+        {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2},
+        ({0: 1, 1: 3, 2: 5}, {0: 0, 1: 4, 2: 3}),
+    )
+    messages = []
+    for compute in (saturate, normal_label_table):
+        with pytest.raises(InvalidStructureError) as info:
+            compute(scs)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "['011', '101']" in messages[0]
+
+
+@pytest.mark.parametrize(
+    "scs",
+    [
+        example2_scs(5),
+        figure2_scs(),
+        layered_scs([1, 1, 1], 5),
+        layered_scs([0, 1, 2], 4),
+        from_ell([2, 3, 2, 3, 4, 5], 5),
+        from_ell([1, 1, 2, 3, 4], 4),
+    ],
+)
+def test_saturate_levels_agree_with_the_label_table(scs):
+    N = scs.max_level
+    table = normal_label_table(scs)
+    sat = saturate(scs, strict=False)
+    checked = 0
+    for y, lab in table.labels.items():
+        if y not in table.inferred or lab.level == N:
+            assert sat.levels[y] == lab.level
+            checked += 1
+    assert checked == len(scs.levels)
+
+
+def test_inferred_label_below_the_top_level_is_undeterminable():
+    # α_0 moves element 0 (label 1) up to element 1, whose inferred label 01
+    # has level 1 < N = 2: its shifts were never stored
+    scs = TruncatedSCS(2, {0: 1, 1: 2}, ({0: 1}, {0: 0}))
+    assert validate(scs).ok
+    table = normal_label_table(scs)
+    assert table.inferred == {1}
+    assert table.labels[1] == Label([0, 1])
+    assert saturate(scs, strict=False).levels == {0: 0, 1: 2}
+    with pytest.raises(TruncationError):
+        saturate(scs)
