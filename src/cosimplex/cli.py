@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 when every requested check passes, 1 on property failures or
-truncation insufficiency, 2 on malformed input.  Reports are deterministic
-byte streams for identical inputs (sorted JSON keys, no timestamps).
+truncation insufficiency, 2 on malformed input (an invalid structure
+included), 3 when a self-check on a computed result fails.  Reports are
+deterministic byte streams for identical inputs (sorted JSON keys, no
+timestamps).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import sys
 from . import cohomology as coh
 from . import fixtures, io_json, labels, normal_ext, scs, spread, tower
-from .errors import CosimplexError, FormatError, TruncationError
+from .errors import CosimplexError, FormatError, InternalInconsistencyError, TruncationError
 from .linalg import Matrix
 
 
@@ -33,8 +35,17 @@ def _write_or_print(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _load_scs(path: str) -> scs.TruncatedSCS:
+def _read_scs(path: str) -> scs.TruncatedSCS:
     return io_json.scs_from_dict(io_json.load_json(path))
+
+
+def _load_scs(path: str) -> scs.TruncatedSCS:
+    """Read a structure for analysis; an invalid one is rejected as input."""
+    structure = _read_scs(path)
+    report = scs.validate(structure)
+    if not report.ok:
+        raise FormatError(f"invalid structure: {report.violations[0].message}")
+    return structure
 
 
 def _load_tower(path: str) -> tower.HilbertTower:
@@ -49,7 +60,7 @@ def _load_family(path: str) -> spread.SpreadableFamily:
 
 
 def cmd_scs_validate(args) -> int:
-    report = scs.validate(_load_scs(args.file))
+    report = scs.validate(_read_scs(args.file))
     _emit(args, report.to_dict(), ["valid" if report.ok else "invalid"])
     return 0 if report.ok else 1
 
@@ -108,6 +119,8 @@ def cmd_scs_cohomology(args) -> int:
             try:
                 coh.explicit_cocycles(structure, k, cx)
                 checks[str(k)] = "match"
+            except InternalInconsistencyError:
+                raise
             except CosimplexError as exc:
                 checks[str(k)] = f"precondition: {exc}"
         payload["explicit_formula"] = checks
@@ -414,6 +427,9 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         sys.stderr.write(f"truncation insufficiency: {exc}\n")
         return 1
+    except InternalInconsistencyError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     except CosimplexError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError
 from .linalg import (
     Matrix,
     primitive,
@@ -76,7 +76,7 @@ def build_complex(scs: TruncatedSCS) -> CochainComplex:
     cx = CochainComplex(scs, bases, matrices)
     for n in range(-1, N - 1):
         if not (cx.matrices[n + 1] * cx.matrices[n]).is_zero():
-            raise AssertionError(f"coboundary composition d^{n + 1} d^{n} != 0")
+            raise InternalInconsistencyError(f"coboundary composition d^{n + 1} d^{n} != 0")
     return cx
 
 
@@ -154,7 +154,7 @@ def cohomology(cx: CochainComplex) -> CohomologyReport:
         if k <= N - 1:
             cyc = cx.coboundary(k).kernel()
             if not subspace_leq(bound.columns(), cyc.columns()):
-                raise AssertionError(f"coboundaries not inside cocycles at level {k}")
+                raise InternalInconsistencyError(f"coboundaries not inside cocycles at level {k}")
             entry = LevelCohomology(
                 level=k,
                 dim_space=dim,
@@ -233,7 +233,7 @@ def explicit_cocycles(scs: TruncatedSCS, k: int, cx: CochainComplex | None = Non
             vectors.append(primitive(tuple(col)))
     kernel = cx.coboundary(k).kernel().columns()
     if not subspace_equal(vectors, kernel):
-        raise AssertionError(
+        raise InternalInconsistencyError(
             f"closed-form cocycles at level {k} do not span the elimination kernel"
         )
     return vectors

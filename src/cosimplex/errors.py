@@ -47,3 +47,8 @@ class NotSpreadableError(CosimplexError):
 
 class FormatError(CosimplexError):
     """Malformed JSON input."""
+
+
+class InternalInconsistencyError(CosimplexError):
+    """A self-check on a computed result failed: the package is at fault,
+    not its input."""

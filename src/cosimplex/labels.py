@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MorphismError, RankMismatchError
+from .errors import InternalInconsistencyError, MorphismError, RankMismatchError
 
 
 class Label:
@@ -251,7 +251,7 @@ def insertion_sequence(source: Label, target: Label):
             cur = [x if x < i else x + 1 for x in cur]
             seq.append(i)
     if cur != list(target.support):
-        raise AssertionError(f"insertion sequence failed for {source} -> {target}")
+        raise InternalInconsistencyError(f"insertion sequence failed for {source} -> {target}")
     del morphism
     return seq
 

@@ -5,6 +5,11 @@ and orthogonal complements are computed without any floating tolerance.
 Determinism conventions used throughout the package:
 
 * elimination always pivots on the first nonzero column, without scaling;
+* ``Echelon`` caches, for a growing set of vectors, one (pivot column,
+  reduced row) pair per independent vector, so each further vector is reduced
+  once and never rescanned for pivots; rank, containment, subspace comparison
+  and greedy column selection go through it, and its reduced rows never leave
+  this module (results are always built from the input vectors);
 * kernel bases set one free variable to 1 in ascending index order;
 * Gram-Schmidt processes vectors in the given order and keeps unnormalized
   vectors, rescaled to primitive integer form with positive leading entry.
@@ -40,15 +45,23 @@ class Matrix:
         else:
             self.ncols = 0 if ncols is None else ncols
 
+    @staticmethod
+    def _of(rows, ncols):
+        """Matrix over ``rows`` as given: fresh, rectangular lists of
+        Fractions, ``ncols`` wide, as this module's own operations build."""
+        out = Matrix.__new__(Matrix)
+        out.rows, out.nrows, out.ncols = rows, len(rows), ncols
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zeros(m, n):
-        return Matrix([[_F0] * n for _ in range(m)], ncols=n)
+        return Matrix._of([[_F0] * n for _ in range(m)], n)
 
     @staticmethod
     def identity(n):
-        return Matrix([[_F1 if i == j else _F0 for j in range(n)] for i in range(n)], ncols=n)
+        return Matrix._of([[_F1 if i == j else _F0 for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_columns(cols, nrows=None):
@@ -57,8 +70,7 @@ class Matrix:
             if nrows is None:
                 raise ValueError("need nrows for an empty column list")
             return Matrix([[] for _ in range(nrows)], ncols=0)
-        m = len(cols[0])
-        return Matrix([[_frac(cols[j][i]) for j in range(len(cols))] for i in range(m)])
+        return Matrix([[col[i] for col in cols] for i in range(len(cols[0]))])
 
     # -- basic access ------------------------------------------------------
 
@@ -72,7 +84,7 @@ class Matrix:
         return tuple(self.rows[i])
 
     def copy(self):
-        return Matrix([row[:] for row in self.rows], ncols=self.ncols)
+        return Matrix._of([row[:] for row in self.rows], self.ncols)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -87,21 +99,29 @@ class Matrix:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _check_same_shape(self, other, op):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(
+                f"shape mismatch {self.nrows}x{self.ncols} {op} {other.nrows}x{other.ncols}"
+            )
+
     def __add__(self, other):
-        return Matrix(
+        self._check_same_shape(other, "+")
+        return Matrix._of(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def __sub__(self, other):
-        return Matrix(
+        self._check_same_shape(other, "-")
+        return Matrix._of(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def scale(self, c):
         c = _frac(c)
-        return Matrix([[c * x for x in row] for row in self.rows], ncols=self.ncols)
+        return Matrix._of([[c * x for x in row] for row in self.rows], self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -118,7 +138,7 @@ class Matrix:
                             if b:
                                 acc[j] += a * b
                 out.append(acc)
-            return Matrix(out, ncols=nc)
+            return Matrix._of(out, nc)
         # matrix * vector
         vec = list(other)
         if self.ncols != len(vec):
@@ -128,12 +148,12 @@ class Matrix:
         )
 
     def transpose(self):
-        return Matrix([list(col) for col in zip(*self.rows)], ncols=self.nrows) if self.rows else Matrix.zeros(self.ncols, 0)
+        return Matrix._of([list(col) for col in zip(*self.rows)], self.nrows) if self.rows else Matrix.zeros(self.ncols, 0)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix([ra + rb for ra, rb in zip(self.rows, other.rows)], ncols=self.ncols + other.ncols)
+        return Matrix._of([ra + rb for ra, rb in zip(self.rows, other.rows)], self.ncols + other.ncols)
 
     # -- elimination -------------------------------------------------------
 
@@ -163,10 +183,10 @@ class Matrix:
             r += 1
             if r == nr:
                 break
-        return Matrix(m, ncols=nc), tuple(pivots)
+        return Matrix._of(m, nc), tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(Echelon(self.rows))
 
     def kernel(self):
         """Columns form a deterministic basis of the null space."""
@@ -183,8 +203,10 @@ class Matrix:
         return Matrix.from_columns(cols, nrows=self.ncols)
 
     def independent_columns(self):
-        """Indices of a greedy (first-come) maximal independent column set."""
-        return self.rref()[1]
+        """Indices of a greedy (first-come) maximal independent column set;
+        they are the pivot columns of ``rref``."""
+        ech = Echelon()
+        return tuple(j for j, col in enumerate(zip(*self.rows)) if ech.add(col))
 
     def column_space_basis(self):
         return Matrix.from_columns([self.column(j) for j in self.independent_columns()], nrows=self.nrows)
@@ -211,7 +233,7 @@ class Matrix:
         R, pivots = aug.rref()
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in R.rows], ncols=n)
+        return Matrix._of([row[n:] for row in R.rows], n)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -245,56 +267,85 @@ def primitive(v) -> Vector:
     den = 1
     for x in v:
         den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(Fraction(x) for x in ints)
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in ints)
 
 
 # -- subspace utilities ------------------------------------------------------
 
 
+class Echelon:
+    """Row echelon form of the vectors added so far, grown one vector at a time.
+
+    Each independent vector is stored as its pivot column (the first nonzero
+    entry left after reduction) and its reduced row, scaled to 1 at the pivot
+    and kept as its nonzero ``(column, entry)`` pairs.  A stored row is zero at
+    the pivot columns of every row stored before it, so reducing a vector
+    against the rows in order clears every pivot column in one pass.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, vectors=()):
+        self._rows = []
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def _reduce(self, v) -> list:
+        work = list(v)
+        for c, entries in self._rows:
+            f = work[c]
+            if f:
+                for j, x in entries:
+                    work[j] -= f * x
+        return work
+
+    def add(self, v) -> bool:
+        """Store ``v`` and return True when it is independent of the rows."""
+        work = self._reduce(v)
+        for c, p in enumerate(work):
+            if p:
+                inv = _F1 / p
+                self._rows.append((c, [(j, x * inv) for j, x in enumerate(work[c:], c) if x]))
+                return True
+        return False
+
+    def contains(self, v) -> bool:
+        """Whether ``v`` lies in the span of the rows."""
+        return not any(self._reduce(v))
+
+
 def span_basis(vectors):
     """Greedy independent subset of ``vectors``, kept in input order."""
-    basis = []
-    rows = []  # running row-echelon copy
-    for v in vectors:
-        work = [_frac(x) for x in v]
-        for pr in rows:
-            c = next(i for i, x in enumerate(pr) if x != 0)
-            if work[c] != 0:
-                f = work[c] / pr[c]
-                work = [a - f * b for a, b in zip(work, pr)]
-        if any(x != 0 for x in work):
-            basis.append(tuple(_frac(x) for x in v))
-            rows.append(work)
-    return basis
+    ech = Echelon()
+    return [tuple(_frac(x) for x in v) for v in vectors if ech.add(v)]
 
 
 def subspace_rank(vectors):
-    return len(span_basis(vectors))
+    return len(Echelon(vectors))
 
 
 def subspace_contains(basis, v):
-    if is_zero_vector(v):
-        return True
-    return subspace_rank(list(basis) + [tuple(v)]) == subspace_rank(basis)
+    return Echelon(basis).contains(v)
 
 
 def subspace_leq(a_vectors, b_vectors):
-    b_basis = span_basis(b_vectors)
-    return all(subspace_contains(b_basis, v) for v in a_vectors)
+    b = Echelon(b_vectors)
+    return all(b.contains(v) for v in a_vectors)
 
 
 def subspace_equal(a_vectors, b_vectors):
-    return subspace_leq(a_vectors, b_vectors) and subspace_leq(b_vectors, a_vectors)
+    """Equal rank, and every vector that adds to the rank of ``a`` lies in
+    span(b)."""
+    a, b = Echelon(), Echelon(b_vectors)
+    kept = [v for v in a_vectors if a.add(v)]
+    return len(a) == len(b) and all(b.contains(v) for v in kept)
 
 
 def subspace_intersection(a_vectors, b_vectors):

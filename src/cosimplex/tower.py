@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidStructureError, NotNormalError, PreconditionError
+from .errors import (
+    InternalInconsistencyError,
+    InvalidStructureError,
+    NotNormalError,
+    PreconditionError,
+)
 from .labels import Label, enumerate_labels, insertion_sequence, transpose_action
 from .linalg import (
     Matrix,
@@ -33,6 +38,7 @@ from .linalg import (
     span_basis,
     subspace_equal,
     subspace_leq,
+    subspace_rank,
     try_orthonormal_basis,
 )
 from .scs import CheckReport, TruncatedSCS
@@ -158,7 +164,7 @@ def innovation_basis(tower: HilbertTower, k: int) -> list:
     prev = tower.basis(k - 1).columns() if k >= 0 else []
     cur = tower.basis(k).columns()
     ortho = gram_schmidt(list(prev) + list(cur))
-    return ortho[len(span_basis(prev)) :]
+    return ortho[subspace_rank(prev) :]
 
 
 def fixed_space(tower: HilbertTower, n: int):
@@ -482,7 +488,7 @@ def build_symmetric_rep(tower: HilbertTower) -> HessenbergData:
     for j in range(1, N + 1):
         U = data.u(j)
         if U * U != Matrix.identity(tower.ambient_dim):
-            raise AssertionError(f"generator u_{j} is not an involution")
+            raise InternalInconsistencyError(f"generator u_{j} is not an involution")
     return data
 
 
@@ -744,5 +750,5 @@ def unitary_equivalence(a: HilbertTower, b: HilbertTower) -> EquivalenceResult:
         if (U * (a.alpha(i) * dom)) != (b.alpha(i) * (U * dom)):
             verified = False
     if not verified:
-        raise AssertionError("constructed intertwiner failed verification")
+        raise InternalInconsistencyError("constructed intertwiner failed verification")
     return EquivalenceResult(True, da, db, U, True)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from cosimplex import cli
 from cosimplex.cli import main
+from cosimplex.errors import InternalInconsistencyError
 from cosimplex.fixtures import example2_scs, figure2_scs, prototypical
 from cosimplex.io_json import (
     dump_json,
@@ -77,6 +79,63 @@ def test_validate_exit_codes(tmp_path, capsys):
     code, out, _ = run(capsys, "scs", "validate", bad)
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def _scs_missing_shift_entry(tmp_path):
+    """prototypical(2) with alpha_0 stored as {0: 1} only: element 1 of its
+    domain has no image."""
+    payload = scs_to_dict(prototypical(2))
+    payload["shifts"][0]["map"] = [[0, 1]]
+    return write(tmp_path, "missing.json", payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scs", "cohomology"],
+        ["scs", "saturate"],
+        ["scs", "innovations"],
+        ["scs", "definetti"],
+        ["scs", "labels"],
+        ["scs", "extend"],
+        ["scs", "classify"],
+        ["scs", "dot"],
+        ["tower", "from-scs"],
+    ],
+)
+def test_invalid_structure_is_rejected_before_analysis(tmp_path, capsys, argv):
+    path = _scs_missing_shift_entry(tmp_path)
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: invalid structure: alpha_0 domain mismatch (missing [1], extra [])\n"
+
+
+def test_invalid_structure_keeps_the_validate_report(tmp_path, capsys):
+    path = _scs_missing_shift_entry(tmp_path)
+    good = write(tmp_path, "good.json", scs_to_dict(prototypical(2)))
+    code, out, _ = run(capsys, "scs", "validate", path)
+    assert code == 1
+    assert [v["kind"] for v in json.loads(out)["violations"]] == ["shift-domain"]
+    for a, b in ((path, good), (good, path)):
+        code, out, err = run(capsys, "scs", "isomorphic", a, b)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: invalid structure: ")
+
+
+def test_internal_inconsistency_is_code_3(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalInconsistencyError("coboundary composition d^1 d^0 != 0")
+
+    path = write(tmp_path, "proto.json", scs_to_dict(prototypical(3)))
+    monkeypatch.setattr(cli.coh, "explicit_cocycles", broken)
+    code, out, err = run(capsys, "scs", "cohomology", "--explicit", path)
+    assert (code, out) == (3, "")
+    assert err == "internal error: coboundary composition d^1 d^0 != 0\n"
+    monkeypatch.setattr(cli.coh, "build_complex", broken)
+    code, out, err = run(capsys, "scs", "cohomology", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ")
 
 
 def test_malformed_json_is_code_2(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Exact linear algebra: partial isometries, fixed vectors, column selection
-and the determinism conventions of the kernel basis."""
+"""Exact linear algebra: partial isometries, fixed vectors, column selection,
+the subspace tests against ``Matrix.rref`` and the determinism conventions of
+the kernel basis."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,10 @@ from cosimplex.linalg import (
     partial_isometry,
     projection_matrix,
     span_basis,
+    subspace_contains,
     subspace_equal,
+    subspace_leq,
+    subspace_rank,
 )
 
 F = Fraction
@@ -116,3 +121,62 @@ def test_kernel_basis_convention_on_random_matrices(data):
         col = K.column(j)
         assert [col[c] for c in free] == [F(1) if c == fc else F(0) for c in free]
         assert A * col == (F(0),) * m
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__"])
+def test_add_and_sub_reject_operands_of_different_shapes(op):
+    A = mat([[1, 2], [3, 4]])
+    for other in (mat([[1]]), mat([[1, 2]]), mat([[1], [2]]), Matrix.zeros(2, 3)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            getattr(A, op)(other)
+    assert getattr(A, op)(A) == (A.scale(2) if op == "__add__" else Matrix.zeros(2, 2))
+
+
+# -- the subspace tests against rref, an independent elimination -----------------
+
+
+def rref_pivots(m, cols):
+    return Matrix.from_columns(cols, nrows=m).rref()[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_lists())
+def test_span_basis_keeps_the_rref_pivot_columns(data):
+    m, cols = data
+    assert span_basis(cols) == [cols[j] for j in rref_pivots(m, cols)]
+    assert subspace_rank(cols) == len(rref_pivots(m, cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_lists(min_cols=1))
+def test_subspace_contains_exactly_when_the_system_is_solvable(data):
+    m, cols = data
+    total = tuple(sum(col, F(0)) for col in zip(*cols))
+    for j, v in enumerate(cols + [total]):
+        rest = cols[:j] + cols[j + 1 :]
+        solvable = Matrix.from_columns(rest, nrows=m).solve(v) is not None
+        assert subspace_contains(rest, v) == solvable
+        assert subspace_leq([v, v], rest) == solvable
+    assert subspace_contains(cols, total)
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_lists(max_cols=8), st.integers(0, 8))
+def test_subspace_equal_exactly_when_the_three_ranks_agree(data, cut):
+    m, cols = data
+    a, b = cols[:cut], cols[cut:]
+    for x, y in ((a, b), (a, a[::-1] + b[:1]), (cols, cols[::-1])):
+        rx, ry, rxy = (len(rref_pivots(m, vs)) for vs in (x, y, x + y))
+        assert subspace_equal(x, y) == (rx == ry == rxy)
+        assert subspace_equal(y, x) == subspace_equal(x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_lists())
+def test_rank_independent_columns_and_kernel_agree_with_rref(data):
+    m, cols = data
+    A = Matrix.from_columns(cols, nrows=m)
+    pivots = A.rref()[1]
+    assert A.independent_columns() == pivots
+    assert A.rank() == len(pivots) == A.transpose().rank()
+    assert A.kernel().ncols == A.ncols - len(pivots)
