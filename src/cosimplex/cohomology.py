@@ -268,13 +268,7 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
         Z_k = cx.coboundary(k).kernel().columns()
         B_k = cx.coboundary(k - 1).column_space_basis().columns()
         # the lower cochain space sits inside the level-k one on coordinates
-        lower = [x for x in cx.basis(k) if scs.levels[x] <= k - 1]
-        coords = {x: r for r, x in enumerate(cx.basis(k))}
-        lower_cols = []
-        for x in lower:
-            v = [Fraction(0)] * len(cx.basis(k))
-            v[coords[x]] = Fraction(1)
-            lower_cols.append(tuple(v))
+        lower_cols = embed(Matrix.identity(len(cx.basis(k - 1))).columns(), k - 1, k)
         zc = subspace_intersection(Z_k, lower_cols)
         bc = subspace_intersection(B_k, lower_cols)
         report.record(
@@ -316,13 +310,7 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
     for k in range(0, N - 2):
         Z_k = cx.coboundary(k).kernel().columns()
         Z_k2 = cx.coboundary(k + 2).kernel().columns()
-        lower = [x for x in cx.basis(k + 2) if scs.levels[x] <= k]
-        coords = {x: r for r, x in enumerate(cx.basis(k + 2))}
-        lower_cols = []
-        for x in lower:
-            v = [Fraction(0)] * len(cx.basis(k + 2))
-            v[coords[x]] = Fraction(1)
-            lower_cols.append(tuple(v))
+        lower_cols = embed(Matrix.identity(len(cx.basis(k))).columns(), k, k + 2)
         meet = subspace_intersection(Z_k2, lower_cols)
         lifted = embed(Z_k, k, k + 2)
         report.record("cocycle-stability-two-up", {"level": k}, subspace_equal(meet, lifted))

@@ -36,7 +36,10 @@ def matrix_to_json(mat: Matrix) -> list:
 def matrix_from_json(data, ncols=None) -> Matrix:
     if not isinstance(data, list):
         raise FormatError("matrix must be a list of rows")
-    return Matrix([[_str_to_frac(x) for x in row] for row in data], ncols=ncols)
+    mat = Matrix([[_str_to_frac(x) for x in row] for row in data], ncols=ncols)
+    if ncols is not None and mat.ncols != ncols:
+        raise FormatError(f"matrix has {mat.ncols} columns, expected {ncols}")
+    return mat
 
 
 # -- set-level structures ------------------------------------------------------------
@@ -137,16 +140,29 @@ def tower_from_dict(data: dict) -> HilbertTower:
                 ]
                 by_level[k] = Matrix.from_columns(cols, nrows=dim)
             else:
-                rows = [[_str_to_frac(x) for x in row] for row in entry["basis"]]
-                by_level[k] = Matrix(rows, ncols=len(rows[0]) if rows else 0)
+                by_level[k] = matrix_from_json(entry["basis"])
+                if by_level[k].nrows != dim:
+                    raise FormatError(f"level {k}: basis has {by_level[k].nrows} rows, expected {dim}")
         level_bases = []
         for k in range(-1, N + 1):
             if k not in by_level:
                 raise FormatError(f"missing level {k}")
             level_bases.append(by_level[k])
-        shifts = [Matrix.identity(dim) for _ in range(max(0, N))]
+        n_shifts = max(0, N)
+        shifts = {}
         for block in data.get("shifts", []):
-            shifts[int(block["i"])] = matrix_from_json(block["matrix"], ncols=dim)
+            i = int(block["i"])
+            if not 0 <= i < n_shifts:
+                raise FormatError(f"shift index {i} out of range for max_level {N}")
+            if i in shifts:
+                raise FormatError(f"duplicate shift block {i}")
+            A = shifts[i] = matrix_from_json(block["matrix"])
+            if (A.nrows, A.ncols) != (dim, dim):
+                raise FormatError(f"shift {i}: matrix is {A.nrows}x{A.ncols}, expected {dim}x{dim}")
+        missing = [i for i in range(n_shifts) if i not in shifts]
+        if missing:
+            raise FormatError(f"missing shift blocks {missing}")
+        shifts = [shifts[i] for i in range(n_shifts)]
         names = data.get("coordinate_names")
         return HilbertTower(N, dim, level_bases, shifts, names)
     except (KeyError, TypeError, ValueError, IndexError) as exc:

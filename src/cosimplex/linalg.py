@@ -4,13 +4,18 @@ Everything here works with ``fractions.Fraction`` entries, so ranks, kernels
 and orthogonal complements are computed without any floating tolerance.
 Determinism conventions used throughout the package:
 
-* elimination always pivots on the first nonzero column, without scaling;
-* ``Echelon`` caches, for a growing set of vectors, one (pivot column,
-  reduced row) pair per independent vector, so each further vector is reduced
+* ``Echelon`` is the one Gaussian elimination: it caches, for a growing set of
+  vectors, one (pivot column, reduced row) pair per independent vector, with
+  the pivot on the first nonzero column, so each further vector is reduced
   once and never rescanned for pivots; rank, containment, subspace comparison
-  and greedy column selection go through it, and its reduced rows never leave
-  this module (results are always built from the input vectors);
-* kernel bases set one free variable to 1 in ascending index order;
+  and greedy column selection go through it;
+* ``Echelon.reduced`` back-substitutes the stored rows into the reduced row
+  echelon form, which is unique for a given row space; kernel, solve and
+  inverse read their answers off it;
+* kernel bases set one free variable to 1 in ascending index order, and
+  ``solve`` sets every free variable to 0;
+* intersections, orthogonal complements and fixed vectors are the images
+  B x of those kernel vectors x, each rescaled by ``primitive``;
 * Gram-Schmidt processes vectors in the given order and keeps unnormalized
   vectors, rescaled to primitive integer form with positive leading entry.
 """
@@ -157,54 +162,27 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column tuple)."""
-        m = [row[:] for row in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            pivot_row = None
-            for i in range(r, nr):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [x / pv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return Matrix._of(m, nc), tuple(pivots)
-
     def rank(self):
         return len(Echelon(self.rows))
 
     def kernel(self):
         """Columns form a deterministic basis of the null space."""
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
+        R = Echelon(self.rows).reduced(self.ncols)
+        pivots = {pc for pc, _ in R}
         cols = []
-        for fc in free:
+        for fc in range(self.ncols):
+            if fc in pivots:
+                continue
             v = [_F0] * self.ncols
             v[fc] = _F1
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.rows[r][fc]
+            for pc, row in R:
+                v[pc] = -row[fc]
             cols.append(tuple(v))
         return Matrix.from_columns(cols, nrows=self.ncols)
 
     def independent_columns(self):
         """Indices of a greedy (first-come) maximal independent column set;
-        they are the pivot columns of ``rref``."""
+        they are the pivot columns of the reduced row echelon form."""
         ech = Echelon()
         return tuple(j for j, col in enumerate(zip(*self.rows)) if ech.add(col))
 
@@ -216,24 +194,24 @@ class Matrix:
 
         Free variables are set to zero, which makes the answer deterministic.
         """
+        n = self.ncols
         aug = self.hstack(Matrix.from_columns([tuple(b)], nrows=self.nrows))
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
+        R = Echelon(aug.rows).reduced(n + 1)
+        if R and R[-1][0] == n:
             return None
-        x = [_F0] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][self.ncols]
+        x = [_F0] * n
+        for pc, row in R:
+            x[pc] = row[n]
         return tuple(x)
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("only square matrices have inverses")
         n = self.nrows
-        aug = self.hstack(Matrix.identity(n))
-        R, pivots = aug.rref()
-        if pivots[:n] != tuple(range(n)):
+        R = Echelon(self.hstack(Matrix.identity(n)).rows).reduced(2 * n)
+        if any(pc != i for i, (pc, _) in enumerate(R)):
             raise ValueError("matrix is singular")
-        return Matrix._of([row[n:] for row in R.rows], n)
+        return Matrix._of([row[n:] for _, row in R], n)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -320,6 +298,26 @@ class Echelon:
         """Whether ``v`` lies in the span of the rows."""
         return not any(self._reduce(v))
 
+    def reduced(self, ncols) -> list:
+        """Reduced row echelon form of the rows, ``ncols`` wide: (pivot
+        column, dense row) pairs in pivot order.
+
+        A stored row is already zero at the pivots of the rows stored before
+        it, so back-substituting from the last row up clears the rest.
+        """
+        out = []
+        for c, entries in reversed(self._rows):
+            row = [_F0] * ncols
+            for j, x in entries:
+                row[j] = x
+            for p, _, later in out:
+                f = row[p]
+                if f:
+                    for j, x in later:
+                        row[j] -= f * x
+            out.append((c, row, [(j, x) for j, x in enumerate(row) if x]))
+        return [(c, row) for c, row, _ in sorted(out, key=lambda t: t[0])]
+
 
 def span_basis(vectors):
     """Greedy independent subset of ``vectors``, kept in input order."""
@@ -348,23 +346,23 @@ def subspace_equal(a_vectors, b_vectors):
     return len(a) == len(b) and all(b.contains(v) for v in kept)
 
 
+def _kernel_image(M: Matrix, B: Matrix) -> list:
+    """Nonzero primitive vectors B x, one per kernel column x of M."""
+    ker = M.kernel()
+    vectors = (primitive(B * ker.column(j)) for j in range(ker.ncols))
+    return [v for v in vectors if not is_zero_vector(v)]
+
+
 def subspace_intersection(a_vectors, b_vectors):
-    """Basis of span(a) ∩ span(b)."""
+    """Basis of span(a) ∩ span(b): A x for the kernel vectors (x, y) of
+    [A | -B]."""
     a = span_basis(a_vectors)
     b = span_basis(b_vectors)
     if not a or not b:
         return []
     stacked = Matrix.from_columns(a + [vec_scale(-1, v) for v in b])
-    ker = stacked.kernel()
-    out = []
-    for j in range(ker.ncols):
-        coeffs = ker.column(j)[: len(a)]
-        vec = tuple(
-            sum((c * v[i] for c, v in zip(coeffs, a)), _F0) for i in range(len(a[0]))
-        )
-        if not is_zero_vector(vec):
-            out.append(primitive(vec))
-    return span_basis(out)
+    A_0 = Matrix.from_columns(a).hstack(Matrix.zeros(len(a[0]), len(b)))
+    return span_basis(_kernel_image(stacked, A_0))
 
 
 def orthogonal_complement_within(perp_to, within):
@@ -375,17 +373,8 @@ def orthogonal_complement_within(perp_to, within):
     constraints = span_basis(perp_to)
     if not constraints:
         return within_basis
-    rows = [[dot(c, w) for w in within_basis] for c in constraints]
-    ker = Matrix(rows, ncols=len(within_basis)).kernel()
-    out = []
-    for j in range(ker.ncols):
-        coeffs = ker.column(j)
-        vec = tuple(
-            sum((c * w[i] for c, w in zip(coeffs, within_basis)), _F0)
-            for i in range(len(within_basis[0]))
-        )
-        out.append(primitive(vec))
-    return out
+    W = Matrix.from_columns(within_basis)
+    return _kernel_image(Matrix.from_columns(constraints).transpose() * W, W)
 
 
 def gram_schmidt(vectors):
@@ -423,9 +412,7 @@ def projection_matrix(basis_vectors, dim):
 def fixed_vectors(A: Matrix, B: Matrix) -> list:
     """Nonzero primitive vectors B x, one per kernel column x of A B - B:
     they span the part of span(B) that A fixes."""
-    ker = (A * B - B).kernel()
-    vectors = (primitive(B * ker.column(j)) for j in range(ker.ncols))
-    return [v for v in vectors if not is_zero_vector(v)]
+    return _kernel_image(A * B - B, B)
 
 
 def fraction_sqrt(x) -> Fraction | None:

@@ -73,13 +73,6 @@ class HilbertTower:
             return self.shifts[i]
         return Matrix.identity(self.ambient_dim)
 
-    def alpha_word(self, word) -> Matrix:
-        """Product applying word[0] first."""
-        out = Matrix.identity(self.ambient_dim)
-        for i in word:
-            out = self.alpha(i) * out
-        return out
-
     def coface(self, i: int, n: int) -> Matrix:
         """The coface from H_{n-1} to H_n (the shift for i < n, inclusion above)."""
         if i >= n:
@@ -267,6 +260,20 @@ def root_space(tower: HilbertTower, k: int) -> list:
     return orthogonal_complement_within(shifted, innov_k)
 
 
+def _label_images(tower: HilbertTower, k: int, vectors, max_level: int):
+    """(label, images) for each rank-(k+1) label up to ``max_level``, in
+    ``enumerate_labels`` order, so the root label comes first: the level-k
+    root ``vectors`` carried along the insertion sequence from the root
+    label, first shift first."""
+    root_label = Label([1] * (k + 1))
+    for lab in enumerate_labels(max_level, rank=k + 1):
+        images = vectors
+        for i in insertion_sequence(root_label, lab):
+            shift = tower.alpha(i)
+            images = [shift * v for v in images]
+        yield lab, images
+
+
 def labeled_subspaces(tower: HilbertTower, max_level: int | None = None) -> dict:
     """Label -> basis (list of ambient vectors) of the labeled subspace.
 
@@ -284,14 +291,7 @@ def labeled_subspaces(tower: HilbertTower, max_level: int | None = None) -> dict
         if basis:
             roots[k] = basis
     for k, basis in roots.items():
-        root_label = Label([1] * (k + 1))
-        out[root_label] = basis
-        for lab in enumerate_labels(max_level, rank=k + 1):
-            if lab == root_label:
-                continue
-            word = insertion_sequence(root_label, lab)
-            mat = tower.alpha_word(word)
-            out[lab] = [mat * v for v in basis]
+        out.update(_label_images(tower, k, basis, max_level))
     # every level is spanned by its labeled subspaces
     for k in range(-1, min(max_level, N) + 1):
         spanned = [v for lab, vs in out.items() if lab.level <= k for v in vs]
@@ -725,14 +725,10 @@ def unitary_equivalence(a: HilbertTower, b: HilbertTower) -> EquivalenceResult:
         rb = try_orthonormal_basis(root_space(b, k))
         if ra is None or rb is None:
             return EquivalenceResult(True, da, db, None, False)
-        root_label = Label([1] * (k + 1))
-        for lab in enumerate_labels(N, rank=k + 1):
-            word = insertion_sequence(root_label, lab)
-            ma = a.alpha_word(word)
-            mb = b.alpha_word(word)
-            for va, vb in zip(ra, rb):
-                cols_a.append(ma * va)
-                cols_b.append(mb * vb)
+        pairs = zip(_label_images(a, k, ra, N), _label_images(b, k, rb, N))
+        for (_, images_a), (_, images_b) in pairs:
+            cols_a.extend(images_a)
+            cols_b.extend(images_b)
     A = Matrix.from_columns(cols_a, nrows=a.ambient_dim)
     B = Matrix.from_columns(cols_b, nrows=b.ambient_dim)
     # U maps the adapted basis of a to that of b: U A = B, with A orthonormal

@@ -180,6 +180,59 @@ def test_tower_basis_index_out_of_range_is_code_2(tmp_path, capsys):
     assert code == 0
 
 
+def _set(path, value):
+    """Edit setting payload[path[0]][path[1]]... to ``value``."""
+
+    def edit(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(("shifts", 0, "matrix"), [["1"]]), "shift 0: matrix is 1x1, expected 3x3"),
+        (_set(("shifts", 1, "matrix"), [["1", "0", "0"]] * 2), "shift 1: matrix is 2x3, expected 3x3"),
+        (_set(("levels", 2), {"level": 1, "basis": [["1", "0"]]}), "level 1: basis has 1 rows, expected 3"),
+        (_set(("levels", 0), {"level": -1, "basis": []}), "level -1: basis has 0 rows, expected 3"),
+        (_set(("shifts", 0, "matrix", 1), ["1"]), "bad tower payload: ragged rows"),
+        (lambda payload: payload["shifts"].pop(1), "missing shift blocks [1]"),
+        (_set(("shifts", 1, "i"), 0), "duplicate shift block 0"),
+        (_set(("shifts", 1, "i"), -1), "shift index -1 out of range for max_level 2"),
+        (_set(("shifts", 1, "i"), 2), "shift index 2 out of range for max_level 2"),
+    ],
+)
+def test_malformed_tower_file_is_code_2(tmp_path, capsys, edit, message):
+    payload = tower_to_dict(from_scs(prototypical(2)))
+    edit(payload)
+    path = write(tmp_path, "tower.json", payload)
+    for command in ("check", "labels", "normal"):
+        code, out, err = run(capsys, "tower", command, path)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_tower_without_shift_blocks_is_code_2(tmp_path, capsys):
+    payload = tower_to_dict(from_scs(prototypical(2)))
+    del payload["shifts"]
+    code, out, err = run(capsys, "tower", "labels", write(tmp_path, "tower.json", payload))
+    assert (code, out, err) == (2, "", "input error: missing shift blocks [0, 1]\n")
+    payload = tower_to_dict(from_scs(prototypical(0)))
+    assert payload["shifts"] == []
+    del payload["shifts"]
+    code, _, _ = run(capsys, "tower", "labels", write(tmp_path, "tower.json", payload))
+    assert code == 0
+
+
+def test_family_matrix_with_the_wrong_column_count_is_code_2(tmp_path, capsys):
+    payload = family_to_dict(ell2_family(3))
+    payload["isometries"][1] = [row + ["0"] for row in payload["isometries"][1]]
+    code, out, err = run(capsys, "spread", "angle", write(tmp_path, "family.json", payload))
+    assert (code, out, err) == (2, "", "input error: matrix has 2 columns, expected 1\n")
+
+
 def test_exact_cli_import_leaves_numpy_unloaded():
     probe = "import sys, cosimplex.cli; print('numpy' in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,6 +1,6 @@
 """Exact linear algebra: partial isometries, fixed vectors, column selection,
-the subspace tests against ``Matrix.rref`` and the determinism conventions of
-the kernel basis."""
+the subspace tests, kernel, solve and inverse against a dense Gauss-Jordan
+reference ``rref`` and the determinism conventions of the kernel basis."""
 
 from fractions import Fraction
 
@@ -135,8 +135,28 @@ def test_add_and_sub_reject_operands_of_different_shapes(op):
 # -- the subspace tests against rref, an independent elimination -----------------
 
 
+def rref(A):
+    """Reduced row echelon form of ``A`` by dense Gauss-Jordan elimination:
+    (list of rows, pivot column tuple)."""
+    m = [row[:] for row in A.rows]
+    pivots = []
+    for c in range(A.ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, tuple(pivots)
+
+
 def rref_pivots(m, cols):
-    return Matrix.from_columns(cols, nrows=m).rref()[1]
+    return rref(Matrix.from_columns(cols, nrows=m))[1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -176,7 +196,48 @@ def test_subspace_equal_exactly_when_the_three_ranks_agree(data, cut):
 def test_rank_independent_columns_and_kernel_agree_with_rref(data):
     m, cols = data
     A = Matrix.from_columns(cols, nrows=m)
-    pivots = A.rref()[1]
+    pivots = rref(A)[1]
     assert A.independent_columns() == pivots
     assert A.rank() == len(pivots) == A.transpose().rank()
     assert A.kernel().ncols == A.ncols - len(pivots)
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_lists(), st.lists(rationals, min_size=4, max_size=4))
+def test_kernel_and_solve_equal_the_reference_reduced_form(data, drawn):
+    m, cols = data
+    A = Matrix.from_columns(cols, nrows=m)
+    R, pivots = rref(A)
+    free = [c for c in range(A.ncols) if c not in pivots]
+    expected = []
+    for fc in free:
+        v = [F(0)] * A.ncols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        expected.append(tuple(v))
+    assert A.kernel().columns() == expected
+    total = tuple(sum(row, F(0)) for row in A.rows)
+    for b in (total, tuple(drawn[:m])):
+        Rb, pb = rref(A.hstack(Matrix.from_columns([b])))
+        if A.ncols in pb:
+            assert A.solve(b) is None
+            continue
+        x = [F(0)] * A.ncols
+        for r, pc in enumerate(pb):
+            x[pc] = Rb[r][A.ncols]
+        assert A.solve(b) == tuple(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_lists(min_cols=4, max_cols=4))
+def test_inverse_equals_the_reference_inverse(data):
+    m, cols = data
+    A = Matrix.from_columns(cols[:m], nrows=m)
+    R, pivots = rref(A.hstack(Matrix.identity(m)))
+    if pivots[:m] != tuple(range(m)):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            A.inverse()
+        return
+    assert A.inverse() == Matrix([row[m:] for row in R])
+    assert A * A.inverse() == Matrix.identity(m)
