@@ -250,7 +250,7 @@ def cmd_spread_from_c(args) -> int:
         import numpy as np
 
         fam = spread.float_from_contraction(
-            np.array([[float(x) for x in row] for row in C.rows]), args.n
+            np.array([[float(x) for x in C.row(i)] for i in range(C.nrows)]), args.n
         )
         result = spread.float_check_theorem_C(fam, args.tol)
         _emit(args, {"mode": "float", "theorem_checks": result})
@@ -358,21 +358,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tower = sub.add_parser("tower", help="inner-product towers")
     tower_sub = p_tower.add_subparsers(dest="subcommand", required=True)
-    for name, fn in (
-        ("check", cmd_tower_check),
-        ("labels", cmd_tower_labels),
-        ("normal", cmd_tower_normal),
-        ("symrep", cmd_tower_symrep),
-        ("hessenberg", cmd_tower_hessenberg),
-        ("definetti", cmd_tower_definetti),
+    for name, fn, needs_out in (
+        ("check", cmd_tower_check, False),
+        ("labels", cmd_tower_labels, False),
+        ("normal", cmd_tower_normal, False),
+        ("symrep", cmd_tower_symrep, False),
+        ("hessenberg", cmd_tower_hessenberg, False),
+        ("definetti", cmd_tower_definetti, False),
+        ("from-scs", cmd_tower_from_scs, True),
     ):
         p = tower_sub.add_parser(name)
         p.add_argument("file")
+        if needs_out:
+            p.add_argument("-o", "--output")
         p.set_defaults(func=fn)
-    p = tower_sub.add_parser("from-scs")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_tower_from_scs)
 
     p_spread = sub.add_parser("spread", help="spreadable isometry families")
     spread_sub = p_spread.add_subparsers(dest="subcommand", required=True)
@@ -381,17 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="number of maps minus one")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_spread_from_c)
-    for name, fn in (
-        ("angle", cmd_spread_angle),
-        ("theoremC", cmd_spread_theorem_c),
+    for name, fn, needs_out in (
+        ("angle", cmd_spread_angle, False),
+        ("theoremC", cmd_spread_theorem_c, False),
+        ("minsch", cmd_spread_minsch, True),
     ):
         p = spread_sub.add_parser(name)
         p.add_argument("file")
+        if needs_out:
+            p.add_argument("-o", "--output")
         p.set_defaults(func=fn)
-    p = spread_sub.add_parser("minsch")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_spread_minsch)
     p = spread_sub.add_parser("equiv")
     p.add_argument("a")
     p.add_argument("b")
@@ -418,10 +416,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (FormatError, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except TruncationError as exc:

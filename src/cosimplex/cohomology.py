@@ -108,17 +108,8 @@ class LevelCohomology:
     cocycle_basis: list
     coboundary_basis: list
 
-    def to_dict(self, name=str):
-        return {
-            "level": self.level,
-            "dim_space": self.dim_space,
-            "dim_cocycles": self.dim_cocycles,
-            "dim_coboundaries": self.dim_coboundaries,
-            "dim_cohomology": self.dim_cohomology,
-            "kernel_known": self.kernel_known,
-            "cocycle_basis": self.cocycle_basis,
-            "coboundary_basis": self.coboundary_basis,
-        }
+    def to_dict(self):
+        return self.__dict__.copy()
 
 
 @dataclass
@@ -133,10 +124,7 @@ class CohomologyReport:
         raise KeyError(k)
 
     def to_dict(self):
-        return {
-            "levels": [lv.to_dict() for lv in self.levels],
-            "truncation_caveats": self.truncation_caveats,
-        }
+        return {**self.__dict__, "levels": [lv.to_dict() for lv in self.levels]}
 
 
 def _basis_vectors(mat: Matrix):

@@ -131,10 +131,9 @@ def rotate_tower(tower: HilbertTower, Q: Matrix) -> HilbertTower:
 def random_signed_permutation(dim: int, rng) -> Matrix:
     perm = list(range(dim))
     rng.shuffle(perm)
-    mat = Matrix.zeros(dim, dim)
-    for col, row in enumerate(perm):
-        mat.rows[row][col] = Fraction(rng.choice((1, -1)))
-    return mat
+    return Matrix.from_entries(
+        dim, dim, {(row, col): rng.choice((1, -1)) for col, row in enumerate(perm)}
+    )
 
 
 def ell2_family(N: int = 5):
@@ -149,23 +148,16 @@ def ell2_family(N: int = 5):
     from .spread import SpreadableFamily
 
     dim = N + 2  # index s holds slot s-1
-    isometries = []
-    for n in range(N + 1):
-        col = [Fraction(0)] * dim
-        col[0] = Fraction(1)
-        col[n + 1] = Fraction(1)
-        isometries.append(Matrix.from_columns([tuple(col)], nrows=dim))
+    isometries = [
+        Matrix.from_entries(dim, 1, {(0, 0): 1, (n + 1, 0): 1}) for n in range(N + 1)
+    ]
     shifts = []
     for n in range(N):
-        A = Matrix.zeros(dim, dim)
-        A.rows[0][0] = Fraction(1)
-        for slot in range(0, N):
-            idx = slot + 1
-            if slot < n:
-                A.rows[idx][idx] = Fraction(1)
-            else:
-                A.rows[idx + 1][idx] = Fraction(1)
-        shifts.append(A)
+        # slot -1 stays put, slots below n too, and slots n..N-1 move one up
+        entries = {(0, 0): 1}
+        for idx in range(1, N + 1):
+            entries[(idx if idx <= n else idx + 1, idx)] = 1
+        shifts.append(Matrix.from_entries(dim, dim, entries))
     gram = Matrix([[Fraction(2)]])
     return SpreadableFamily(1, dim, isometries, gram, shifts)
 
@@ -185,10 +177,7 @@ def random_rational_rotation(dim: int, rng, planes: int = 3) -> Matrix:
         if dim < 2:
             break
         i, j = rng.sample(range(dim), 2)
-        rot = Matrix.identity(dim)
-        rot.rows[i][i] = c
-        rot.rows[j][j] = c
-        rot.rows[i][j] = -s
-        rot.rows[j][i] = s
-        out = rot * out
+        entries = {(r, r): 1 for r in range(dim)}
+        entries.update({(i, i): c, (j, j): c, (i, j): -s, (j, i): s})
+        out = Matrix.from_entries(dim, dim, entries) * out
     return out

@@ -30,7 +30,7 @@ def _str_to_frac(s) -> Fraction:
 
 
 def matrix_to_json(mat: Matrix) -> list:
-    return [[_frac_to_str(x) for x in row] for row in mat.rows]
+    return [[_frac_to_str(x) for x in mat.row(i)] for i in range(mat.nrows)]
 
 
 def matrix_from_json(data, ncols=None) -> Matrix:
@@ -39,6 +39,14 @@ def matrix_from_json(data, ncols=None) -> Matrix:
     mat = Matrix([[_str_to_frac(x) for x in row] for row in data], ncols=ncols)
     if ncols is not None and mat.ncols != ncols:
         raise FormatError(f"matrix has {mat.ncols} columns, expected {ncols}")
+    return mat
+
+
+def _sized(data, nrows, ncols, what) -> Matrix:
+    """A matrix that must be ``nrows`` x ``ncols``; ``what`` names it in the error."""
+    mat = matrix_from_json(data, ncols=ncols)
+    if mat.nrows != nrows:
+        raise FormatError(f"{what} is {mat.nrows}x{mat.ncols}, expected {nrows}x{ncols}")
     return mat
 
 
@@ -69,15 +77,25 @@ def scs_from_dict(data: dict) -> TruncatedSCS:
         names = {}
         for entry in data["elements"]:
             x = int(entry["id"])
+            if x in levels:
+                raise FormatError(f"duplicate element id {x}")
             levels[x] = int(entry["level"])
             if "name" in entry:
                 names[x] = str(entry["name"])
         shifts = [dict() for _ in range(max(0, N))]
+        seen = set()
         for block in data.get("shifts", []):
             i = int(block["i"])
             if not (0 <= i < max(0, N)):
                 raise FormatError(f"shift index {i} out of range for max_level {N}")
-            shifts[i] = {int(a): int(b) for a, b in block["map"]}
+            if i in seen:
+                raise FormatError(f"duplicate shift block {i}")
+            seen.add(i)
+            for a, b in block["map"]:
+                a = int(a)
+                if a in shifts[i]:
+                    raise FormatError(f"shift {i}: element {a} is mapped twice")
+                shifts[i][a] = int(b)
         return TruncatedSCS(N, levels, tuple(shifts), names)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad structure payload: {exc}") from None
@@ -127,6 +145,10 @@ def tower_from_dict(data: dict) -> HilbertTower:
         by_level = {}
         for entry in data["levels"]:
             k = int(entry["level"])
+            if not -1 <= k <= N:
+                raise FormatError(f"level {k} out of range for max_level {N}")
+            if k in by_level:
+                raise FormatError(f"duplicate level {k}")
             if "basis_indices" in entry:
                 indices = entry["basis_indices"]
                 bad = [idx for idx in indices if not 0 <= idx < dim]
@@ -134,15 +156,19 @@ def tower_from_dict(data: dict) -> HilbertTower:
                     raise FormatError(
                         f"level {k}: basis indices {bad} outside range({dim})"
                     )
-                cols = [
-                    tuple(Fraction(1) if r == idx else Fraction(0) for r in range(dim))
-                    for idx in indices
-                ]
-                by_level[k] = Matrix.from_columns(cols, nrows=dim)
+                repeated = sorted({idx for idx in indices if indices.count(idx) > 1})
+                if repeated:
+                    raise FormatError(f"level {k}: repeated basis indices {repeated}")
+                B = Matrix.from_entries(
+                    dim, len(indices), {(idx, c): 1 for c, idx in enumerate(indices)}
+                )
             else:
-                by_level[k] = matrix_from_json(entry["basis"])
-                if by_level[k].nrows != dim:
-                    raise FormatError(f"level {k}: basis has {by_level[k].nrows} rows, expected {dim}")
+                B = matrix_from_json(entry["basis"])
+                if B.nrows != dim:
+                    raise FormatError(f"level {k}: basis has {B.nrows} rows, expected {dim}")
+                if B.rank() != B.ncols:
+                    raise FormatError(f"level {k}: basis columns are linearly dependent")
+            by_level[k] = B
         level_bases = []
         for k in range(-1, N + 1):
             if k not in by_level:
@@ -189,13 +215,19 @@ def family_from_dict(data: dict) -> SpreadableFamily:
     try:
         k = int(data["k_dim"])
         dim = int(data["ambient_dim"])
-        isometries = [matrix_from_json(m, ncols=k) for m in data["isometries"]]
-        gram = matrix_from_json(data["gram"], ncols=k) if "gram" in data else None
-        shifts = (
-            [matrix_from_json(m, ncols=dim) for m in data["ambient_shifts"]]
-            if "ambient_shifts" in data
-            else None
-        )
+        isometries = [_sized(m, dim, k, f"isometry {n}") for n, m in enumerate(data["isometries"])]
+        gram = _sized(data["gram"], k, k, "gram") if "gram" in data else None
+        shifts = None
+        if "ambient_shifts" in data:
+            shifts = [
+                _sized(m, dim, dim, f"ambient shift {i}")
+                for i, m in enumerate(data["ambient_shifts"])
+            ]
+            if len(shifts) != len(isometries) - 1:
+                raise FormatError(
+                    f"{len(shifts)} ambient shifts for {len(isometries)} isometries, "
+                    f"expected {len(isometries) - 1}"
+                )
         return SpreadableFamily(k, dim, isometries, gram, shifts)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad family payload: {exc}") from None

@@ -18,6 +18,11 @@ Determinism conventions used throughout the package:
   B x of those kernel vectors x, each rescaled by ``primitive``;
 * Gram-Schmidt processes vectors in the given order and keeps unnormalized
   vectors, rescaled to primitive integer form with positive leading entry.
+
+``Matrix.rows`` (dense lists of Fractions) is private storage of this module.
+Matrices are built with ``from_entries``, ``from_columns``, ``zeros`` and
+``identity`` (or from a list of rows), and read with ``M[i, j]``, ``row`` and
+``column``; no code outside this module changes a matrix in place.
 """
 
 from __future__ import annotations
@@ -66,7 +71,19 @@ class Matrix:
 
     @staticmethod
     def identity(n):
-        return Matrix._of([[_F1 if i == j else _F0 for j in range(n)] for i in range(n)], n)
+        return Matrix.from_entries(n, n, {(i, i): _F1 for i in range(n)})
+
+    @staticmethod
+    def from_entries(nrows, ncols, entries):
+        """The ``nrows`` x ``ncols`` matrix with the given ``{(i, j): value}``
+        entries and zeros elsewhere; an index outside the shape, negative
+        ones included, raises ``ValueError``."""
+        out = Matrix.zeros(nrows, ncols)
+        for (i, j), x in entries.items():
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
+            out.rows[i][j] = _frac(x)
+        return out
 
     @staticmethod
     def from_columns(cols, nrows=None):
@@ -88,8 +105,9 @@ class Matrix:
     def row(self, i) -> Vector:
         return tuple(self.rows[i])
 
-    def copy(self):
-        return Matrix._of([row[:] for row in self.rows], self.ncols)
+    def __getitem__(self, ij) -> Fraction:
+        i, j = ij
+        return self.rows[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -307,13 +307,7 @@ class SaturationResult:
         return self.holds
 
     def to_dict(self):
-        return {
-            "level": self.level,
-            "up_to": self.up_to,
-            "holds": self.holds,
-            "truncation_limited": self.truncation_limited,
-            "witnesses": self.witnesses,
-        }
+        return self.__dict__.copy()
 
 
 def check_saturation(scs: TruncatedSCS, n: int, up_to: int | None = None) -> SaturationResult:
@@ -470,14 +464,7 @@ class DeFinettiReport:
         return not self.bugs
 
     def to_dict(self):
-        return {
-            "ok": self.ok,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "bugs": self.bugs,
-            "converse_first_failures": self.converse_first_failures,
-            "converse_second_failures": self.converse_second_failures,
-            "truncation_caveats": self.truncation_caveats,
-        }
+        return {"ok": self.ok, **self.__dict__, "levels": [lv.to_dict() for lv in self.levels]}
 
 
 def check_toy_definetti_scs(scs: TruncatedSCS) -> DeFinettiReport:

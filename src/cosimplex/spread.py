@@ -70,7 +70,10 @@ class AngleReport:
 
     def to_dict(self):
         return {
-            "operator_angle": [[str(x) for x in row] for row in self.operator_angle.rows],
+            "operator_angle": [
+                [str(x) for x in self.operator_angle.row(i)]
+                for i in range(self.operator_angle.nrows)
+            ],
             "positive": self.positive,
             "contraction": self.contraction,
             "deviation": str(self.deviation),
@@ -134,21 +137,18 @@ def from_contraction(C: Matrix, N: int) -> SpreadableFamily:
         raise PreconditionError("contraction must be square")
     if not (is_symmetric(C) and is_psd(C) and is_psd(Matrix.identity(k) - C)):
         raise PreconditionError("need a positive contraction")
-    sqrt_c, sqrt_rest = _diagonal_roots(C)
+    roots = _diagonal_roots(C)
     ambient = (N + 2) * k
     isometries = []
     for n in range(N + 1):
-        rows = [[Fraction(0)] * k for _ in range(ambient)]
-        for r in range(k):
-            for c in range(k):
-                rows[r][c] = sqrt_c.rows[r][c]
-                rows[(n + 1) * k + r][c] = sqrt_rest.rows[r][c]
-        isometries.append(Matrix(rows, ncols=k))
+        entries = {}
+        for r, (a, b) in enumerate(roots):
+            entries[(r, r)] = a
+            entries[((n + 1) * k + r, r)] = b
+        isometries.append(Matrix.from_entries(ambient, k, entries))
     shifts = []
     for n in range(N):
-        A = Matrix.zeros(ambient, ambient)
-        for r in range(k):
-            A.rows[r][r] = Fraction(1)  # bottom copy fixed
+        entries = {(r, r): 1 for r in range(k)}  # bottom copy fixed
         for slot in range(N + 1):
             src = (slot + 1) * k
             if slot < n:
@@ -158,31 +158,30 @@ def from_contraction(C: Matrix, N: int) -> SpreadableFamily:
             else:
                 continue  # the top copy leaves the truncated ambient
             for r in range(k):
-                A.rows[dst + r][src + r] = Fraction(1)
-        shifts.append(A)
+                entries[(dst + r, src + r)] = 1
+        shifts.append(Matrix.from_entries(ambient, ambient, entries))
     return SpreadableFamily(k, ambient, isometries, Matrix.identity(k), shifts)
 
 
-def _diagonal_roots(C: Matrix):
+def _diagonal_roots(C: Matrix) -> list:
+    """(√c, √(1-c)) for each diagonal entry c of a diagonal ``C``."""
     k = C.nrows
-    off_diag = any(C.rows[i][j] != 0 for i in range(k) for j in range(k) if i != j)
+    off_diag = any(C[i, j] != 0 for i in range(k) for j in range(k) if i != j)
     if off_diag:
         raise PreconditionError(
             "exact construction needs a diagonal contraction; use the floating path"
         )
-    sc = Matrix.zeros(k, k)
-    sr = Matrix.zeros(k, k)
+    roots = []
     for i in range(k):
-        a = fraction_sqrt(C.rows[i][i])
-        b = fraction_sqrt(1 - C.rows[i][i])
+        a = fraction_sqrt(C[i, i])
+        b = fraction_sqrt(1 - C[i, i])
         if a is None or b is None:
             raise PreconditionError(
-                f"entry {C.rows[i][i]} or its complement has no rational square root; "
+                f"entry {C[i, i]} or its complement has no rational square root; "
                 "use the floating path"
             )
-        sc.rows[i][i] = a
-        sr.rows[i][i] = b
-    return sc, sr
+        roots.append((a, b))
+    return roots
 
 
 # -- the induced tower -------------------------------------------------------------------
@@ -272,15 +271,7 @@ class TheoremCReport:
         return not self.failures
 
     def to_dict(self):
-        return {
-            "ok": self.ok,
-            "orthogonal_complements": self.orthogonal_complements,
-            "angle_identity": self.angle_identity,
-            "positive": self.positive,
-            "saturated": self.saturated,
-            "projection_when_saturated": self.projection_when_saturated,
-            "failures": self.failures,
-        }
+        return {"ok": self.ok, **self.__dict__}
 
 
 def check_theorem_C(family: SpreadableFamily) -> TheoremCReport:
@@ -368,11 +359,7 @@ class InvariantResult:
     intertwiner_verified: bool
 
     def to_dict(self):
-        return {
-            "equivalent": self.equivalent,
-            "reason": self.reason,
-            "intertwiner_verified": self.intertwiner_verified,
-        }
+        return self.__dict__.copy()
 
 
 def check_complete_invariant(fam_a: SpreadableFamily, fam_b: SpreadableFamily) -> InvariantResult:
@@ -395,10 +382,12 @@ def check_complete_invariant(fam_a: SpreadableFamily, fam_b: SpreadableFamily) -
         return InvariantResult(True, "equal angles and Grams", verified)
     # proportional presentations of the same family (scaled K basis)
     ga, gb = fam_a.gram, fam_b.gram
-    if fam_a.k_dim >= 1 and gb.rows and gb.rows[0][0] != 0:
-        if angle_a.raw_angle.scale(gb.rows[0][0]) == angle_b.raw_angle.scale(
-            ga.rows[0][0]
-        ) and ga.scale(gb.rows[0][0]) == gb.scale(ga.rows[0][0]):
+    if fam_a.k_dim >= 1 and gb[0, 0] != 0:
+        a0, b0 = ga[0, 0], gb[0, 0]
+        if (
+            angle_a.raw_angle.scale(b0) == angle_b.raw_angle.scale(a0)
+            and ga.scale(b0) == gb.scale(a0)
+        ):
             return InvariantResult(True, "proportional presentations", True)
     return InvariantResult(True, "equal angle spectra (no rational intertwiner built)", False)
 

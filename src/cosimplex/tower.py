@@ -18,7 +18,6 @@ by localized unitaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InternalInconsistencyError,
@@ -126,25 +125,24 @@ def check_tower(tower: HilbertTower) -> CheckReport:
 def from_scs(scs: TruncatedSCS) -> HilbertTower:
     """Interpret elements as orthonormal basis vectors; shifts become 0/1
     matrices.  Columns of level-N basis vectors stay zero: the shift is only
-    defined on H_{N-1}."""
+    defined on H_{N-1}.
+
+    Coordinates are ordered by level, so H_k is spanned by the first dim(H_k)
+    of them."""
     N = scs.max_level
     order = sorted(scs.levels, key=lambda x: (scs.levels[x], x))
     index = {x: i for i, x in enumerate(order)}
     dim = len(order)
     level_bases = []
     for k in range(-1, N + 1):
-        cols = [
-            tuple(Fraction(1) if r == index[x] else Fraction(0) for r in range(dim))
-            for x in order
-            if scs.levels[x] <= k
-        ]
-        level_bases.append(Matrix.from_columns(cols, nrows=dim))
-    shifts = []
-    for i in range(max(0, N)):
-        mat = Matrix.zeros(dim, dim)
-        for x, y in scs.shifts[i].items():
-            mat.rows[index[y]][index[x]] = Fraction(1)
-        shifts.append(mat)
+        n_k = sum(1 for x in order if scs.levels[x] <= k)
+        level_bases.append(Matrix.from_entries(dim, n_k, {(r, r): 1 for r in range(n_k)}))
+    shifts = [
+        Matrix.from_entries(
+            dim, dim, {(index[y], index[x]): 1 for x, y in scs.shifts[i].items()}
+        )
+        for i in range(max(0, N))
+    ]
     names = [scs.name(x) for x in order]
     return HilbertTower(N, dim, level_bases, shifts, names)
 
@@ -312,14 +310,7 @@ class NormalityReport:
     details: dict
 
     def to_dict(self):
-        return {
-            "adjoint_exchange": self.adjoint_exchange,
-            "complement_shift": self.complement_shift,
-            "orthogonal_labels": self.orthogonal_labels,
-            "criteria_agree": self.criteria_agree,
-            "normal": self.normal,
-            "details": self.details,
-        }
+        return self.__dict__.copy()
 
 
 def _adjoint_on_level(tower: HilbertTower, i: int, k: int) -> Matrix:

@@ -77,10 +77,8 @@ def random_valid_ell(rng, N):
 
 
 def diag(*entries):
-    m = Matrix.zeros(len(entries), len(entries))
-    for i, x in enumerate(entries):
-        m.rows[i][i] = F(x)
-    return m
+    k = len(entries)
+    return Matrix.from_entries(k, k, {(i, i): F(x) for i, x in enumerate(entries)})
 
 
 def dims_by_level(report):
@@ -396,11 +394,9 @@ def test_criterion_13_exchange_condition_verdicts():
     }
     assert set(verdicts.values()) == {True}
 
-    bad = Matrix.identity(tw.ambient_dim)
-    bad.rows[0][0] = F(0)
-    bad.rows[4][4] = F(0)
-    bad.rows[0][4] = F(1)
-    bad.rows[4][0] = F(1)
+    dim = tw.ambient_dim
+    fixed = {(i, i): 1 for i in range(dim) if i not in (0, 4)}
+    bad = Matrix.from_entries(dim, dim, {**fixed, (0, 4): 1, (4, 0): 1})
     control = HessenbergData(tw, [data.u(1), data.u(2), data.u(3), bad, data.u(5)])
     report = check_hessenberg(control)
     far = [c for c in report.failures if c["check"] == "far-commutation"]

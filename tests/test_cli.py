@@ -191,6 +191,12 @@ def _set(path, value):
     return edit
 
 
+def _append_level(k, indices):
+    def edit(payload):
+        payload["levels"].append({"level": k, "basis_indices": indices})
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -203,6 +209,14 @@ def _set(path, value):
         (_set(("shifts", 1, "i"), 0), "duplicate shift block 0"),
         (_set(("shifts", 1, "i"), -1), "shift index -1 out of range for max_level 2"),
         (_set(("shifts", 1, "i"), 2), "shift index 2 out of range for max_level 2"),
+        (_append_level(0, [0, 1, 2]), "duplicate level 0"),
+        (_append_level(7, []), "level 7 out of range for max_level 2"),
+        (_append_level(-2, []), "level -2 out of range for max_level 2"),
+        (_set(("levels", 3, "basis_indices"), [0, 1, 2, 2]), "level 2: repeated basis indices [2]"),
+        (
+            _set(("levels", 2), {"level": 1, "basis": [["1", "1"], ["0", "0"], ["0", "0"]]}),
+            "level 1: basis columns are linearly dependent",
+        ),
     ],
 )
 def test_malformed_tower_file_is_code_2(tmp_path, capsys, edit, message):
@@ -231,6 +245,57 @@ def test_family_matrix_with_the_wrong_column_count_is_code_2(tmp_path, capsys):
     payload["isometries"][1] = [row + ["0"] for row in payload["isometries"][1]]
     code, out, err = run(capsys, "spread", "angle", write(tmp_path, "family.json", payload))
     assert (code, out, err) == (2, "", "input error: matrix has 2 columns, expected 1\n")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda payload: payload["elements"].append({"id": 0, "level": 1}), "duplicate element id 0"),
+        (
+            lambda payload: payload["shifts"].append({"i": 0, "map": payload["shifts"][1]["map"]}),
+            "duplicate shift block 0",
+        ),
+        (lambda payload: payload["shifts"][0]["map"].append([0, 2]), "shift 0: element 0 is mapped twice"),
+    ],
+)
+def test_duplicate_entries_in_a_structure_file_are_code_2(tmp_path, capsys, edit, message):
+    payload = scs_to_dict(prototypical(2))
+    edit(payload)
+    path = write(tmp_path, "scs.json", payload)
+    for argv in (["scs", "validate"], ["scs", "cohomology"], ["tower", "from-scs"]):
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def _drop_last_row(key, n):
+    def edit(payload):
+        payload[key][n] = payload[key][n][:-1]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_last_row("isometries", 1), "isometry 1 is 3x1, expected 4x1"),
+        (
+            lambda payload: payload["ambient_shifts"].pop(),
+            "1 ambient shifts for 3 isometries, expected 2",
+        ),
+        (
+            lambda payload: payload["ambient_shifts"].append(payload["ambient_shifts"][0]),
+            "3 ambient shifts for 3 isometries, expected 2",
+        ),
+        (_drop_last_row("ambient_shifts", 0), "ambient shift 0 is 3x4, expected 4x4"),
+        (_set(("gram",), [["2"], ["0"]]), "gram is 2x1, expected 1x1"),
+    ],
+)
+def test_family_file_with_the_wrong_shapes_is_code_2(tmp_path, capsys, edit, message):
+    payload = family_to_dict(ell2_family(2))
+    edit(payload)
+    path = write(tmp_path, "family.json", payload)
+    for argv in (["angle", path], ["minsch", path], ["theoremC", path], ["equiv", path, path]):
+        code, out, err = run(capsys, "spread", *argv)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 def test_exact_cli_import_leaves_numpy_unloaded():

@@ -1,8 +1,11 @@
-"""Exact linear algebra: partial isometries, fixed vectors, column selection,
-the subspace tests, kernel, solve and inverse against a dense Gauss-Jordan
-reference ``rref`` and the determinism conventions of the kernel basis."""
+"""Exact linear algebra: the access surface of ``Matrix``, partial
+isometries, fixed vectors, column selection, the subspace tests, kernel, solve
+and inverse against a dense Gauss-Jordan reference ``rref`` and the
+determinism conventions of the kernel basis."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -132,13 +135,43 @@ def test_add_and_sub_reject_operands_of_different_shapes(op):
     assert getattr(A, op)(A) == (A.scale(2) if op == "__add__" else Matrix.zeros(2, 2))
 
 
+def test_from_entries_places_the_entries_and_zeros_elsewhere():
+    M = Matrix.from_entries(2, 3, {(0, 2): F(1, 2), (1, 0): -3})
+    assert M == mat([[0, 0, F(1, 2)], [-3, 0, 0]])
+    assert (M[0, 2], M[1, 0], M[1, 1]) == (F(1, 2), F(-3), F(0))
+    assert isinstance(M[1, 0], Fraction)
+    assert M.row(1) == (F(-3), F(0), F(0))
+    assert Matrix.from_entries(3, 0, {}) == Matrix.zeros(3, 0)
+    assert Matrix.identity(3) == mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("ij", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+def test_from_entries_rejects_an_index_outside_the_shape(ij):
+    with pytest.raises(ValueError, match="outside a 2x3 matrix"):
+        Matrix.from_entries(2, 3, {ij: 1})
+
+
+def test_no_module_outside_linalg_touches_matrix_storage():
+    """Only ``linalg`` reads or writes ``Matrix.rows``: everything else goes
+    through ``from_entries``, ``M[i, j]``, ``row`` and ``column``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "cosimplex"
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "rows"
+    ]
+    assert sites == []
+
+
 # -- the subspace tests against rref, an independent elimination -----------------
 
 
 def rref(A):
     """Reduced row echelon form of ``A`` by dense Gauss-Jordan elimination:
     (list of rows, pivot column tuple)."""
-    m = [row[:] for row in A.rows]
+    m = [list(A.row(i)) for i in range(A.nrows)]
     pivots = []
     for c in range(A.ncols):
         r = len(pivots)
@@ -217,7 +250,7 @@ def test_kernel_and_solve_equal_the_reference_reduced_form(data, drawn):
             v[pc] = -R[r][fc]
         expected.append(tuple(v))
     assert A.kernel().columns() == expected
-    total = tuple(sum(row, F(0)) for row in A.rows)
+    total = tuple(sum(A.row(i), F(0)) for i in range(A.nrows))
     for b in (total, tuple(drawn[:m])):
         Rb, pb = rref(A.hstack(Matrix.from_columns([b])))
         if A.ncols in pb:

@@ -28,10 +28,7 @@ F = Fraction
 
 def diag(*entries):
     k = len(entries)
-    m = Matrix.zeros(k, k)
-    for i, x in enumerate(entries):
-        m.rows[i][i] = F(x)
-    return m
+    return Matrix.from_entries(k, k, {(i, i): F(x) for i, x in enumerate(entries)})
 
 
 # -- construction from a contraction ----------------------------------------------------
@@ -77,10 +74,9 @@ def test_angle_round_trip():
 
 def test_operator_angle_rejects_perturbed_family():
     fam = from_contraction(diag(F(9, 25)), 4)
-    rows = [row[:] for row in fam.iota(2).rows]
-    rows[0][0] += F(1, 7)
+    bump = Matrix.from_entries(fam.ambient_dim, fam.k_dim, {(0, 0): F(1, 7)})
     broken = SpreadableFamily(
-        fam.k_dim, fam.ambient_dim, [fam.iota(0), fam.iota(1), Matrix(rows)],
+        fam.k_dim, fam.ambient_dim, [fam.iota(0), fam.iota(1), fam.iota(2) + bump],
         fam.gram, None,
     )
     with pytest.raises(NotSpreadableError) as err:

@@ -1,6 +1,7 @@
 """Hilbert towers: structure checks, labeled subspaces, normality, generators."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from cosimplex.fixtures import (
 )
 from cosimplex.labels import Label
 from cosimplex.linalg import Matrix, subspace_equal
-from cosimplex.scs import TruncatedSCS
+from cosimplex.normal_ext import is_normal_scs
+from cosimplex.scs import TruncatedSCS, disjoint_union, from_ell
 from cosimplex.tower import (
     HessenbergData,
     build_symmetric_rep,
@@ -40,6 +42,12 @@ from cosimplex.tower import (
 
 def e(i, dim):
     return tuple(Fraction(1) if r == i else Fraction(0) for r in range(dim))
+
+
+def transposition(dim, a, b):
+    """Permutation matrix swapping coordinates a and b."""
+    fixed = {(i, i): 1 for i in range(dim) if i not in (a, b)}
+    return Matrix.from_entries(dim, dim, {**fixed, (a, b): 1, (b, a): 1})
 
 
 def fig2_tower_and_ids():
@@ -76,7 +84,10 @@ def test_from_scs_empty():
 
 def test_check_tower_flags_broken_isometry():
     tower = from_scs(prototypical(3))
-    tower.shifts[0].rows[1][0] = Fraction(2)
+    A0 = tower.shifts[0]
+    assert A0[1, 0] == 1  # alpha_0 sends e_0 to e_1
+    broken = A0 + Matrix.from_entries(4, 4, {(1, 0): 1})  # ... and now to 2 e_1
+    tower = replace(tower, shifts=[broken, *tower.shifts[1:]])
     assert not check_tower(tower).ok
 
 
@@ -182,6 +193,32 @@ def test_normal_layered():
     assert report.criteria_agree and report.normal
 
 
+def level_functions(N):
+    """Every valid level function ell(0..N), values capped at N + 1: a value
+    above N leaves its element out of the truncation, as N + 1 does."""
+    out = [[v] for v in range(N + 2)]
+    for n in range(1, N + 1):
+        out = [f + [v] for f in out for v in range(n, min(f[-1] + 1, N + 1) + 1)]
+    return out
+
+
+def test_set_level_and_tower_level_normality_agree():
+    structures = [from_ell(f, N) for N in (3, 4) for f in level_functions(N)]
+    assert len(structures) == 42 + 132
+    layered = [
+        layered_scs(dims, N) for dims, N in (([1, 1, 1], 3), ([0, 1, 2], 3), ([1, 0, 1], 4))
+    ]
+    assert all(is_normal_scs(scs)[0] for scs in layered)
+    structures += layered
+    structures.append(disjoint_union(from_ell([1, 1, 2, 3], 3), from_ell([0, 1, 2, 3], 3)))
+    verdicts = set()
+    for scs in structures:
+        normal = is_normal_scs(scs)[0]
+        assert check_normal(from_scs(scs), details=False).normal == normal, scs
+        verdicts.add(normal)
+    assert verdicts == {True, False}
+
+
 def test_non_normal_figure2_all_three_criteria():
     tower, _ = fig2_tower_and_ids()
     report = check_normal(tower)
@@ -214,12 +251,7 @@ def test_symmetric_rep_prototypical_transpositions():
     dim = tower.ambient_dim
     for j in range(1, 6):
         U = data.u(j)
-        expect = Matrix.identity(dim)
-        expect.rows[j - 1][j - 1] = Fraction(0)
-        expect.rows[j][j] = Fraction(0)
-        expect.rows[j - 1][j] = Fraction(1)
-        expect.rows[j][j - 1] = Fraction(1)
-        assert U == expect
+        assert U == transposition(dim, j - 1, j)
 
 
 def test_symmetric_rep_identity_permutation():
@@ -264,11 +296,7 @@ def test_hessenberg_negative_control_breaks_far_commutation():
     tower = from_scs(prototypical(5))
     data = build_symmetric_rep(tower)
     # replace one generator by a distant transposition: far commutation dies
-    bad = Matrix.identity(tower.ambient_dim)
-    bad.rows[0][0] = Fraction(0)
-    bad.rows[4][4] = Fraction(0)
-    bad.rows[0][4] = Fraction(1)
-    bad.rows[4][0] = Fraction(1)
+    bad = transposition(tower.ambient_dim, 0, 4)
     control = HessenbergData(tower, [data.u(1), data.u(2), data.u(3), bad, data.u(5)])
     report = check_hessenberg(control)
     far = [c for c in report.checks if c["check"] == "far-commutation"]
