@@ -241,7 +241,10 @@ def _parse_contraction(path: str) -> Matrix:
     data = io_json.load_json(path)
     if isinstance(data, dict) and "matrix" in data:
         data = data["matrix"]
-    return io_json.matrix_from_json(data)
+    C = io_json.matrix_from_json(data)
+    if C.nrows != C.ncols:
+        raise FormatError(f"contraction is {C.nrows}x{C.ncols}, expected a square matrix")
+    return C
 
 
 def cmd_spread_from_c(args) -> int:

@@ -42,6 +42,13 @@ def matrix_from_json(data, ncols=None) -> Matrix:
     return mat
 
 
+def _max_level(data) -> int:
+    N = int(data["max_level"])
+    if N < -1:
+        raise FormatError(f"max_level {N} is below -1")
+    return N
+
+
 def _sized(data, nrows, ncols, what) -> Matrix:
     """A matrix that must be ``nrows`` x ``ncols``; ``what`` names it in the error."""
     mat = matrix_from_json(data, ncols=ncols)
@@ -72,7 +79,7 @@ def scs_to_dict(scs: TruncatedSCS) -> dict:
 
 def scs_from_dict(data: dict) -> TruncatedSCS:
     try:
-        N = int(data["max_level"])
+        N = _max_level(data)
         levels = {}
         names = {}
         for entry in data["elements"]:
@@ -140,7 +147,7 @@ def _as_index_set(B: Matrix):
 
 def tower_from_dict(data: dict) -> HilbertTower:
     try:
-        N = int(data["max_level"])
+        N = _max_level(data)
         dim = int(data["ambient_dim"])
         by_level = {}
         for entry in data["levels"]:

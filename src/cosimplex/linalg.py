@@ -1,17 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries, so ranks, kernels
-and orthogonal complements are computed without any floating tolerance.
+Matrices are stored as dense ``fractions.Fraction`` entries, so ranks,
+kernels and orthogonal complements are computed without any floating
+tolerance.  The inner loops run on Python ``int``s: a product, ``dot``,
+``gram_schmidt`` and ``Echelon`` clear the denominators of each operand row
+once (``_ints``), do every multiply-add on integers and build one
+``Fraction`` per nonzero result entry, so every value returned is the same
+``Fraction`` a pure ``Fraction`` computation gives.
 Determinism conventions used throughout the package:
 
-* ``Echelon`` is the one Gaussian elimination: it caches, for a growing set of
-  vectors, one (pivot column, reduced row) pair per independent vector, with
-  the pivot on the first nonzero column, so each further vector is reduced
-  once and never rescanned for pivots; rank, containment, subspace comparison
-  and greedy column selection go through it;
-* ``Echelon.reduced`` back-substitutes the stored rows into the reduced row
-  echelon form, which is unique for a given row space; kernel, solve and
-  inverse read their answers off it;
+* ``Echelon`` is the one Gaussian elimination, fraction-free: it caches, for
+  a growing set of vectors, one (pivot column, primitive integer row) pair
+  per independent vector, with the pivot on the first nonzero column, so each
+  further vector is reduced once and never rescanned for pivots; rank,
+  containment, subspace comparison and greedy column selection go through it;
+* ``Echelon.reduced`` back-substitutes the stored rows in integers and
+  divides each row by its pivot at the end, giving the reduced row echelon
+  form, which is unique for a given row space; kernel, solve and inverse read
+  their answers off it;
 * kernel bases set one free variable to 1 in ascending index order, and
   ``solve`` sets every free variable to 0;
 * intersections, orthogonal complements and fixed vectors are the images
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 Vector = tuple  # tuple of Fraction
 
@@ -38,6 +45,68 @@ _F1 = Fraction(1)
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _ints(v):
+    """(pairs, den): the nonzero entries of the sequence ``v`` as ``(index,
+    integer)`` pairs over ``den``, the least common denominator of ``v``, so
+    ``v[j] == Fraction(x, den)`` for every pair ``(j, x)``.
+
+    Each entry is read once, through the ``_numerator`` and ``_denominator``
+    slots of ``Fraction``: the public properties are a method call each, and
+    on the 0/1 matrices of integer towers that call costs more than the
+    integer arithmetic it feeds.  Entries that are not Fractions (ints passed
+    in by a caller) are converted first.
+    """
+    try:
+        nonzero = []
+        den = 1
+        for j, x in enumerate(v):
+            n = x._numerator
+            if n:
+                d = x._denominator
+                if den % d:
+                    den = den // gcd(den, d) * d
+                nonzero.append((j, n, d))
+    except AttributeError:
+        return _ints([_frac(x) for x in v])
+    if den == 1:
+        return [(j, n) for j, n, _ in nonzero], 1
+    return [(j, n * (den // d)) for j, n, d in nonzero], den
+
+
+def _fractions(ints, den) -> list:
+    """Dense Fraction row of ``ints / den``; zeros are the shared ``_F0``."""
+    if den == 1:
+        return [Fraction(x) if x else _F0 for x in ints]
+    return [Fraction(x, den) if x else _F0 for x in ints]
+
+
+def _dot_ints(pu, vals, du) -> Fraction:
+    """Sum of ``(x / du) * vals[t]`` over the ``t``-th pair ``(j, x)`` of
+    ``pu``: ``vals`` holds the other operand at the columns of ``pu``."""
+    pairs, d = _ints(vals)
+    s = 0
+    for t, b in pairs:
+        s += pu[t][1] * b
+    if not s:
+        return _F0
+    d *= du
+    return Fraction(s) if d == 1 else Fraction(s, d)
+
+
+def _dense(pairs, n) -> list:
+    out = [0] * n
+    for j, x in pairs:
+        out[j] = x
+    return out
+
+
+def _content(ints) -> int:
+    """gcd of the integers, signed like the first nonzero one: dividing by it
+    gives the primitive vector with a positive leading entry."""
+    g = gcd(*ints)
+    return -g if next(x for x in ints if x) < 0 else g
 
 
 class Matrix:
@@ -150,25 +219,30 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
+            # row k of other is right[k] / L, row i of self is pairs / d_i
+            right = [_ints(row) for row in other.rows]
+            L = 1
+            for _, d in right:
+                if L % d:
+                    L = L // gcd(L, d) * d
+            right = [pairs if d == L else [(j, x * (L // d)) for j, x in pairs] for pairs, d in right]
             nc = other.ncols
             out = []
             for row in self.rows:
-                acc = [_F0] * nc
-                for k, a in enumerate(row):
-                    if a:
-                        other_row = other.rows[k]
-                        for j, b in enumerate(other_row):
-                            if b:
-                                acc[j] += a * b
-                out.append(acc)
+                pairs, d = _ints(row)
+                acc = [0] * nc
+                for k, a in pairs:
+                    for j, b in right[k]:
+                        acc[j] += a * b
+                out.append(_fractions(acc, d * L))
             return Matrix._of(out, nc)
-        # matrix * vector
+        # matrix * vector: only the columns where the vector is nonzero count
         vec = list(other)
         if self.ncols != len(vec):
             raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(
-            sum((a * b for a, b in zip(row, vec) if a and b), _F0) for row in self.rows
-        )
+        pv, dv = _ints(vec)
+        cols = [j for j, _ in pv]
+        return tuple(_dot_ints(pv, [row[j] for j in cols], dv) for row in self.rows)
 
     def transpose(self):
         return Matrix._of([list(col) for col in zip(*self.rows)], self.nrows) if self.rows else Matrix.zeros(self.ncols, 0)
@@ -239,11 +313,8 @@ class Matrix:
 
 
 def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), _F0)
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    pu, du = _ints(u)
+    return _dot_ints(pu, [v[j] for j, _ in pu], du)
 
 
 def vec_scale(c, u):
@@ -257,17 +328,14 @@ def is_zero_vector(v):
 
 def primitive(v) -> Vector:
     """Rescale to a coprime integer vector whose first nonzero entry is positive."""
-    v = tuple(_frac(x) for x in v)
-    if is_zero_vector(v):
-        return v
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(Fraction(x // g) for x in ints)
+    v = tuple(v)
+    pairs, _ = _ints(v)
+    out = [_F0] * len(v)
+    if pairs:
+        g = _content([x for _, x in pairs])
+        for j, x in pairs:
+            out[j] = Fraction(x // g)
+    return tuple(out)
 
 
 # -- subspace utilities ------------------------------------------------------
@@ -277,10 +345,17 @@ class Echelon:
     """Row echelon form of the vectors added so far, grown one vector at a time.
 
     Each independent vector is stored as its pivot column (the first nonzero
-    entry left after reduction) and its reduced row, scaled to 1 at the pivot
-    and kept as its nonzero ``(column, entry)`` pairs.  A stored row is zero at
-    the pivot columns of every row stored before it, so reducing a vector
-    against the rows in order clears every pivot column in one pass.
+    entry left after reduction), its pivot entry and its reduced row, scaled
+    to a primitive integer row (coprime entries, positive pivot) and kept as
+    its nonzero ``(column, entry)`` pairs.  A stored row is zero at the pivot
+    columns of every row stored before it, so reducing a vector against the
+    rows in order clears every pivot column in one pass.
+
+    The elimination is fraction-free: a vector is scaled to integers once,
+    and a row with pivot ``p`` clears entry ``f`` by ``work <- (p/g) work -
+    (f/g) row`` with ``g = gcd(p, f)``.  That is a positive multiple of the
+    rational step ``work - (f/p) row``, so the zero pattern, and with it every
+    pivot, is the one rational elimination gives.
     """
 
     __slots__ = ("_rows",)
@@ -294,21 +369,17 @@ class Echelon:
         return len(self._rows)
 
     def _reduce(self, v) -> list:
-        work = list(v)
-        for c, entries in self._rows:
-            f = work[c]
-            if f:
-                for j, x in entries:
-                    work[j] -= f * x
-        return work
+        pairs, _ = _ints(v)
+        return _eliminate(_dense(pairs, len(v)), self._rows)
 
     def add(self, v) -> bool:
         """Store ``v`` and return True when it is independent of the rows."""
         work = self._reduce(v)
         for c, p in enumerate(work):
             if p:
-                inv = _F1 / p
-                self._rows.append((c, [(j, x * inv) for j, x in enumerate(work[c:], c) if x]))
+                g = _content(work)
+                entries = [(j, x // g) for j, x in enumerate(work[c:], c) if x]
+                self._rows.append((c, p // g, entries))
                 return True
         return False
 
@@ -318,23 +389,38 @@ class Echelon:
 
     def reduced(self, ncols) -> list:
         """Reduced row echelon form of the rows, ``ncols`` wide: (pivot
-        column, dense row) pairs in pivot order.
+        column, dense row of Fractions) pairs in pivot order.
 
         A stored row is already zero at the pivots of the rows stored before
-        it, so back-substituting from the last row up clears the rest.
+        it, so back-substituting from the last row up clears the rest; each
+        row stays a primitive integer row until it is divided by its pivot.
         """
+        done = []
         out = []
-        for c, entries in reversed(self._rows):
-            row = [_F0] * ncols
+        for c, _, entries in reversed(self._rows):
+            row = _eliminate(_dense(entries, ncols), done)
+            g = _content(row)
+            row = [x // g for x in row]
+            done.append((c, row[c], [(j, x) for j, x in enumerate(row) if x]))
+            out.append((c, _fractions(row, row[c])))
+        return sorted(out, key=lambda t: t[0])
+
+
+def _eliminate(work, rows) -> list:
+    """``work`` with the pivot column of each ``(column, pivot, pairs)`` row
+    cleared in turn, fraction-free; a positive multiple of the rational
+    result."""
+    for c, p, entries in rows:
+        f = work[c]
+        if f:
+            g = gcd(p, f)
+            if g != p:
+                s = p // g
+                work = [s * x for x in work]
+            f //= g
             for j, x in entries:
-                row[j] = x
-            for p, _, later in out:
-                f = row[p]
-                if f:
-                    for j, x in later:
-                        row[j] -= f * x
-            out.append((c, row, [(j, x) for j, x in enumerate(row) if x]))
-        return [(c, row) for c, row, _ in sorted(out, key=lambda t: t[0])]
+                work[j] -= f * x
+    return work
 
 
 def span_basis(vectors):
@@ -396,17 +482,28 @@ def orthogonal_complement_within(perp_to, within):
 
 
 def gram_schmidt(vectors):
-    """Exact orthogonalization, unnormalized primitive vectors, zeros dropped."""
-    out = []
+    """Exact orthogonalization, unnormalized primitive vectors, zeros dropped.
+
+    Runs on integer vectors: ``w <- (u.u) w - (w.u) u`` (both coefficients
+    divided by their gcd) is a positive multiple of the rational step
+    ``w - (w.u)/(u.u) u``, so after ``primitive`` the vectors are the same.
+    """
+    done = []  # (primitive integer vector, its squared norm)
     for v in vectors:
-        w = tuple(_frac(x) for x in v)
-        for u in out:
-            c = dot(w, u)
+        v = tuple(v)
+        pairs, _ = _ints(v)
+        w = _dense(pairs, len(v))
+        for u, uu in done:
+            c = sum(map(mul, w, u))
             if c:
-                w = vec_sub(w, vec_scale(c / dot(u, u), u))
-        if not is_zero_vector(w):
-            out.append(primitive(w))
-    return out
+                g = gcd(uu, c)
+                a, b = uu // g, c // g
+                w = [a * x - b * y for x, y in zip(w, u)]
+        if any(w):
+            g = _content(w)
+            w = [x // g for x in w]
+            done.append((w, sum(map(mul, w, w))))
+    return [tuple(_fractions(u, 1)) for u, _ in done]
 
 
 def partial_isometry(src: Matrix, dst: Matrix) -> Matrix:

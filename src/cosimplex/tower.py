@@ -247,10 +247,14 @@ def check_toy_definetti(tower: HilbertTower) -> CheckReport:
 def root_space(tower: HilbertTower, k: int) -> list:
     """Vectors of the level-k innovation orthogonal to every shifted copy of
     the previous innovation (level-k root vectors)."""
-    innov_k = innovation_basis(tower, k)
+    innov_prev = innovation_basis(tower, k - 1) if k > 0 else []
+    return _root_space(tower, k, innovation_basis(tower, k), innov_prev)
+
+
+def _root_space(tower: HilbertTower, k: int, innov_k: list, innov_prev: list) -> list:
+    """``root_space`` from the innovation bases of levels k and k - 1."""
     if k <= 0:
         return innov_k
-    innov_prev = innovation_basis(tower, k - 1)
     shifted = []
     for i in range(0, k):
         for v in innov_prev:
@@ -284,14 +288,16 @@ def labeled_subspaces(tower: HilbertTower, max_level: int | None = None) -> dict
         max_level = N
     out = {}
     roots = {}
-    for k in range(-1, min(max_level, N) + 1):
-        basis = root_space(tower, k)
+    top = min(max_level, N)
+    innov = {k: innovation_basis(tower, k) for k in range(-1, top + 1)}
+    for k in range(-1, top + 1):
+        basis = _root_space(tower, k, innov[k], innov.get(k - 1, []))
         if basis:
             roots[k] = basis
     for k, basis in roots.items():
         out.update(_label_images(tower, k, basis, max_level))
     # every level is spanned by its labeled subspaces
-    for k in range(-1, min(max_level, N) + 1):
+    for k in range(-1, top + 1):
         spanned = [v for lab, vs in out.items() if lab.level <= k for v in vs]
         if not subspace_leq(tower.basis(k).columns(), spanned):
             raise InvalidStructureError(
@@ -330,18 +336,27 @@ def check_normal(tower: HilbertTower, details: bool = True) -> NormalityReport:
     (d) shifts map complements of coface images into the next complements;
     (e) pairwise orthogonality of the labeled subspaces.
     """
+    return _check_normal(tower, details)[0]
+
+
+def _check_normal(tower: HilbertTower, details: bool) -> tuple:
+    """(``check_normal`` report, the labeled subspaces it built)."""
     N = tower.max_level
     info = {}
 
     ok_c = True
+    adjoints = {}  # (i, k) -> _adjoint_on_level(tower, i, k), within this call
     for k in range(0, N):
         Bk = tower.basis(k)
         adj_low = {}
         adj_high = {}
         pushed = {}
         for i in range(0, k + 2):
-            adj_low[i] = _adjoint_on_level(tower, i, k) * Bk
-            adj_high[i] = _adjoint_on_level(tower, i, k + 1)
+            for level in (k, k + 1):
+                if (i, level) not in adjoints:
+                    adjoints[i, level] = _adjoint_on_level(tower, i, level)
+            adj_low[i] = adjoints[i, k] * Bk
+            adj_high[i] = adjoints[i, k + 1]
             pushed[i] = tower.coface(i, k + 1) * Bk
         for j in range(1, k + 2):
             for i in range(0, j):
@@ -383,7 +398,7 @@ def check_normal(tower: HilbertTower, details: bool = True) -> NormalityReport:
     normal = ok_c and agree
     if normal and details:
         info["decomposition"] = _normal_decomposition_details(tower, subspaces)
-    return NormalityReport(ok_c, ok_d, ok_e, agree, normal, info)
+    return NormalityReport(ok_c, ok_d, ok_e, agree, normal, info), subspaces
 
 
 def _normal_decomposition_details(tower: HilbertTower, subspaces: dict) -> dict:
@@ -454,11 +469,10 @@ def build_symmetric_rep(tower: HilbertTower) -> HessenbergData:
     label χ to the copy at the transposed label; the generators square to the
     identity and satisfy the braid relations.
     """
-    rep = check_normal(tower, details=False)
+    rep, subspaces = _check_normal(tower, details=False)
     if not rep.normal:
         raise NotNormalError("symmetric generators need a normal tower")
     N = tower.max_level
-    subspaces = labeled_subspaces(tower)
     # group labels by rank and identify each subspace with its root basis copy
     unitaries = []
     for j in range(1, N + 1):

@@ -240,6 +240,27 @@ def test_tower_without_shift_blocks_is_code_2(tmp_path, capsys):
     assert code == 0
 
 
+def test_tower_max_level_below_minus_one_is_code_2(tmp_path, capsys):
+    path = write(tmp_path, "tower.json", {"max_level": -3, "ambient_dim": 2, "levels": []})
+    for command in ("check", "labels", "normal"):
+        code, out, err = run(capsys, "tower", command, path)
+        assert (code, out, err) == (2, "", "input error: max_level -3 is below -1\n")
+
+
+def test_structure_max_level_below_minus_one_is_code_2(tmp_path, capsys):
+    path = write(tmp_path, "scs.json", {"max_level": -2, "elements": [], "shifts": []})
+    for argv in (["scs", "validate"], ["scs", "cohomology"], ["tower", "from-scs"]):
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out, err) == (2, "", "input error: max_level -2 is below -1\n")
+
+
+def test_non_square_contraction_is_code_2(tmp_path, capsys):
+    path = write(tmp_path, "c.json", [["1", "0"]])
+    for scalar in ("exact", "float"):
+        code, out, err = run(capsys, "--scalar", scalar, "spread", "from-c", path, "-n", "2")
+        assert (code, out, err) == (2, "", "input error: contraction is 1x2, expected a square matrix\n")
+
+
 def test_family_matrix_with_the_wrong_column_count_is_code_2(tmp_path, capsys):
     payload = family_to_dict(ell2_family(3))
     payload["isometries"][1] = [row + ["0"] for row in payload["isometries"][1]]

@@ -1,21 +1,30 @@
 """Exact linear algebra: the access surface of ``Matrix``, partial
 isometries, fixed vectors, column selection, the subspace tests, kernel, solve
 and inverse against a dense Gauss-Jordan reference ``rref`` and the
-determinism conventions of the kernel basis."""
+determinism conventions of the kernel basis; the integer kernels (products,
+``dot``, ``gram_schmidt``, the fraction-free ``Echelon``) against dense
+``Fraction`` references on large and mixed denominators, and the Fraction-only
+storage the benchmark reads."""
 
 import ast
+import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosimplex.fixtures import random_rational_rotation
 from cosimplex.linalg import (
     Matrix,
+    dot,
     fixed_vectors,
+    gram_schmidt,
     orthogonal_complement_within,
     partial_isometry,
+    primitive,
     projection_matrix,
     span_basis,
     subspace_contains,
@@ -274,3 +283,151 @@ def test_inverse_equals_the_reference_inverse(data):
         return
     assert A.inverse() == Matrix([row[m:] for row in R])
     assert A * A.inverse() == Matrix.identity(m)
+
+
+# -- the integer kernels against dense Fraction references ------------------------
+
+# large and mixed denominators, negative values and zeros
+wide = st.one_of(
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**6),
+    st.integers(-3, 3).map(F),
+    st.just(F(0)),
+)
+
+
+def wide_matrices(m, n):
+    """m x n matrices of ``wide`` entries, with zero rows drawn on purpose."""
+    row = st.one_of(st.lists(wide, min_size=n, max_size=n), st.just([F(0)] * n))
+    return st.lists(row, min_size=m, max_size=m).map(lambda rows: Matrix(rows, ncols=n))
+
+
+shapes = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+
+
+def entries(M):
+    return [x for i in range(M.nrows) for x in M.row(i)]
+
+
+def ref_product(A, B):
+    return [
+        [sum((A[i, t] * B[t, j] for t in range(A.ncols)), F(0)) for j in range(B.ncols)]
+        for i in range(A.nrows)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes.flatmap(lambda s: st.tuples(
+    wide_matrices(s[0], s[1]),
+    wide_matrices(s[1], s[2]),
+    st.lists(wide, min_size=s[1], max_size=s[1]).map(tuple),
+    st.lists(wide, min_size=s[1], max_size=s[1]).map(tuple),
+)))
+def test_products_and_dot_equal_the_dense_fraction_reference(data):
+    A, B, u, v = data
+    AB = A * B
+    assert (AB.nrows, AB.ncols) == (A.nrows, B.ncols)
+    assert [list(AB.row(i)) for i in range(AB.nrows)] == ref_product(A, B)
+    assert A * u == tuple(sum((a * b for a, b in zip(A.row(i), u)), F(0)) for i in range(A.nrows))
+    assert dot(u, v) == sum((a * b for a, b in zip(u, v)), F(0))
+    assert dot(u, v) == dot(v, u)
+    assert all(type(x) is Fraction for x in entries(AB) + list(A * u) + [dot(u, v)])
+
+
+def ref_gram_schmidt(vectors):
+    """Rational Gram-Schmidt on Fractions, each vector made primitive."""
+    out = []
+    for v in vectors:
+        w = list(v)
+        for u in out:
+            c = sum((a * b for a, b in zip(w, u)), F(0))
+            if c:
+                uu = sum((a * a for a in u), F(0))
+                w = [a - c / uu * b for a, b in zip(w, u)]
+        if any(w):
+            den = 1
+            for x in w:
+                den = den * x.denominator // gcd(den, x.denominator)
+            ints = [int(x * den) for x in w]
+            g = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+            out.append(tuple(F(x // g) for x in ints))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.one_of(
+        st.lists(wide, min_size=m, max_size=m).map(tuple),
+        st.just((F(0),) * m),
+    ), max_size=5),
+)))
+def test_gram_schmidt_is_orthogonal_primitive_and_spans_the_input(data):
+    m, vectors = data
+    out = gram_schmidt(vectors)
+    assert out == ref_gram_schmidt(vectors)
+    for a, u in enumerate(out):
+        assert all(type(x) is Fraction and x.denominator == 1 for x in u)
+        assert gcd(*(int(x) for x in u)) == 1
+        assert next(x for x in u if x) > 0
+        assert all(dot(u, w) == 0 for w in out[a + 1 :])
+    rank = len(rref_pivots(m, vectors))
+    assert len(out) == rank == len(rref_pivots(m, vectors + out))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 5)).flatmap(lambda s: st.tuples(
+    wide_matrices(*s),
+    st.lists(wide, min_size=s[0], max_size=s[0]).map(tuple),
+    wide_matrices(s[0], s[0]),
+)))
+def test_echelon_answers_equal_rref_on_wide_entries(data):
+    A, b, S = data
+    R, pivots = rref(A)
+    assert A.independent_columns() == pivots
+    assert A.rank() == len(pivots)
+    free = [c for c in range(A.ncols) if c not in pivots]
+    expected = []
+    for fc in free:
+        x = [F(0)] * A.ncols
+        x[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            x[pc] = -R[r][fc]
+        expected.append(tuple(x))
+    K = A.kernel()
+    assert (K.nrows, K.columns()) == (A.ncols, expected)
+    Rb, pb = rref(A.hstack(Matrix.from_columns([b], nrows=A.nrows)))
+    if A.ncols in pb:
+        assert A.solve(b) is None
+    else:
+        x = [F(0)] * A.ncols
+        for r, pc in enumerate(pb):
+            x[pc] = Rb[r][A.ncols]
+        assert A.solve(b) == tuple(x)
+    n = S.nrows
+    Ri, pi = rref(S.hstack(Matrix.identity(n)))
+    if pi[:n] != tuple(range(n)):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            S.inverse()
+    else:
+        assert S.inverse() == Matrix([row[n:] for row in Ri], ncols=n)
+
+
+# -- the benchmark's storage contract: Matrix.rows holds only Fractions -----------
+
+
+def test_every_stored_entry_is_a_fraction():
+    """``bench/workloads.py`` reads ``rows`` and hashes ``repr`` of them into
+    job keys, so an ``int`` in a result would change those keys."""
+    A = Matrix.from_entries(3, 3, {(0, 0): 2, (0, 1): F(1, 3), (1, 2): -1, (2, 0): 5, (2, 2): 1})
+    C = Matrix.from_columns([(1, 0, 2), (0, 1, 1)])
+    Q = random_rational_rotation(5, random.Random(0), 4)
+    results = [
+        A, C, Q, A * A, A * C, C.transpose(), A.transpose() * C, A.inverse(), Q * Q.transpose(),
+        A.kernel(), C.transpose().kernel(), Matrix.identity(2), Matrix.zeros(2, 2),
+        Matrix.from_columns([], nrows=2), mat([[1, 2], [2, 4]]).kernel(),
+    ]
+    for M in results:
+        assert all(type(x) is Fraction for x in entries(M)), M
+    vectors = [A * (1, 2, 3), C.transpose().solve((1, 1)), primitive((F(2), F(0), F(4, 3)))]
+    vectors += gram_schmidt([(1, 2, 0), (F(1, 2), 0, 1)]) + span_basis([(1, 2), (0, 1)])
+    assert all(type(x) is Fraction for v in vectors for x in v)
