@@ -7,7 +7,9 @@ The coboundary out of level n is the alternating sum of the cofaces,
 with the top coface the inclusion and d^{-2} = 0 on the zero space below the
 bottom level.  All arithmetic is exact over the rationals: cocycle and
 coboundary dimensions are rank computations, where a floating tolerance could
-manufacture or destroy cohomology.
+manufacture or destroy cohomology.  The coboundary entries are small sign
+sums, so they are summed as ``int``s and d^{n+1} d^n = 0 is checked on sparse
+integer columns; each matrix is then built once, with Fraction entries.
 
 Levels -1..N-1 of a level-N truncation carry full information (both the
 kernel of d^k and the image of d^{k-1} are computable); at level N only the
@@ -55,29 +57,39 @@ class CochainComplex:
 
 
 def build_complex(scs: TruncatedSCS) -> CochainComplex:
-    """Assemble the coboundary matrices; entries are small integers obtained
-    by summing signs over coface collisions."""
+    """Assemble the coboundary matrices from sparse ``{row: int}`` columns
+    read off the shift maps (every source has level <= N-1, so each shift is
+    stored; the top coface α_N is the inclusion) after checking d∘d = 0."""
     N = scs.max_level
     bases = {}
     for n in range(-1, N + 1):
         bases[n] = sorted(scs.X(n), key=lambda x: (scs.levels[x], x))
+    columns = {}
+    for n in range(-1, N):
+        index = {x: r for r, x in enumerate(bases[n + 1])}
+        signed = [(scs.shifts[i], (-1) ** (n + 1 - i)) for i in range(min(n + 2, N))]
+        cols = columns[n] = []
+        for x in bases[n]:
+            col = {index[x]: 1} if n + 1 == N else {}
+            for shift, sign in signed:
+                r = index[shift[x]]
+                col[r] = col.get(r, 0) + sign
+            cols.append(col)
+    for n in range(-1, N - 1):
+        upper = columns[n + 1]
+        for col in columns[n]:
+            acc = {}
+            for r, a in col.items():
+                for s, b in upper[r].items():
+                    acc[s] = acc.get(s, 0) + a * b
+            if any(acc.values()):
+                raise InternalInconsistencyError(f"coboundary composition d^{n + 1} d^{n} != 0")
     matrices = {}
     for n in range(-1, N):
-        src = bases[n]
-        dst = bases[n + 1]
-        index = {x: r for r, x in enumerate(dst)}
-        mat = [[Fraction(0)] * len(src) for _ in dst]
-        for c, x in enumerate(src):
-            for i in range(0, n + 2):
-                target = scs.alpha(i, x)
-                sign = (-1) ** (n + 1 - i)
-                mat[index[target]][c] += sign
-        matrices[n] = Matrix(mat, ncols=len(src))
-    cx = CochainComplex(scs, bases, matrices)
-    for n in range(-1, N - 1):
-        if not (cx.matrices[n + 1] * cx.matrices[n]).is_zero():
-            raise InternalInconsistencyError(f"coboundary composition d^{n + 1} d^{n} != 0")
-    return cx
+        cols = columns.pop(n)
+        entries = {(r, c): a for c, col in enumerate(cols) for r, a in col.items() if a}
+        matrices[n] = Matrix.from_entries(len(bases[n + 1]), len(cols), entries)
+    return CochainComplex(scs, bases, matrices)
 
 
 def extended_coboundary(scs: TruncatedSCS, n: int, vec: dict) -> dict:
@@ -92,8 +104,7 @@ def extended_coboundary(scs: TruncatedSCS, n: int, vec: dict) -> dict:
             continue
         for i in range(0, n + 2):
             target = scs.alpha(i, x)
-            sign = (-1) ** (n + 1 - i)
-            out[target] = out.get(target, Fraction(0)) + sign * coeff
+            out[target] = out.get(target, 0) + (coeff if (n + 1 - i) % 2 == 0 else -coeff)
     return {x: c for x, c in out.items() if c != 0}
 
 
@@ -210,12 +221,12 @@ def explicit_cocycles(scs: TruncatedSCS, k: int, cx: CochainComplex | None = Non
         if (k - l) % 2 == 0:
             continue
         for d in sorted(D[l]):
-            vec = {d: Fraction(1)}
+            vec = {d: 1}
             if l >= 0:
-                image = extended_coboundary(scs, l - 1, {d: Fraction(1)})
+                image = extended_coboundary(scs, l - 1, {d: 1})
                 for x, c in image.items():
-                    vec[x] = vec.get(x, Fraction(0)) - c
-            col = [Fraction(0)] * len(basis_k)
+                    vec[x] = vec.get(x, 0) - c
+            col = [0] * len(basis_k)
             for x, c in vec.items():
                 col[index[x]] = c
             vectors.append(primitive(tuple(col)))
@@ -252,8 +263,9 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
             out.append(tuple(v))
         return out
 
+    cocycles = {k: cx.coboundary(k).kernel().columns() for k in range(0, N)}
     for k in range(0, N):
-        Z_k = cx.coboundary(k).kernel().columns()
+        Z_k = cocycles[k]
         B_k = cx.coboundary(k - 1).column_space_basis().columns()
         # the lower cochain space sits inside the level-k one on coordinates
         lower_cols = embed(Matrix.identity(len(cx.basis(k - 1))).columns(), k - 1, k)
@@ -280,13 +292,13 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
             for x in cx.basis(l):
                 if scs.levels[x] > N - 1:
                     continue
-                vec = {x: Fraction(1)}
+                vec = {x: 1}
                 lhs = extended_coboundary(scs, k, vec)
                 low = extended_coboundary(scs, l - 1, vec)
                 if (k - l) % 2 == 0:
                     rhs = dict(vec)
                     for y, c in low.items():
-                        rhs[y] = rhs.get(y, Fraction(0)) - c
+                        rhs[y] = rhs.get(y, 0) - c
                     rhs = {y: c for y, c in rhs.items() if c}
                 else:
                     rhs = low
@@ -296,11 +308,9 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
 
     # cocycles two levels up restrict to the same cocycles
     for k in range(0, N - 2):
-        Z_k = cx.coboundary(k).kernel().columns()
-        Z_k2 = cx.coboundary(k + 2).kernel().columns()
         lower_cols = embed(Matrix.identity(len(cx.basis(k))).columns(), k, k + 2)
-        meet = subspace_intersection(Z_k2, lower_cols)
-        lifted = embed(Z_k, k, k + 2)
+        meet = subspace_intersection(cocycles[k + 2], lower_cols)
+        lifted = embed(cocycles[k], k, k + 2)
         report.record("cocycle-stability-two-up", {"level": k}, subspace_equal(meet, lifted))
 
     return report

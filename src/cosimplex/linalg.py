@@ -156,12 +156,16 @@ class Matrix:
 
     @staticmethod
     def from_columns(cols, nrows=None):
+        """The matrix with the given columns; ``nrows`` is required for no
+        columns, and a column of another length raises ``ValueError``."""
         cols = list(cols)
-        if not cols:
-            if nrows is None:
+        if nrows is None:
+            if not cols:
                 raise ValueError("need nrows for an empty column list")
-            return Matrix([[] for _ in range(nrows)], ncols=0)
-        return Matrix([[col[i] for col in cols] for i in range(len(cols[0]))])
+            nrows = len(cols[0])
+        if any(len(col) != nrows for col in cols):
+            raise ValueError(f"columns of length {nrows} expected")
+        return Matrix([[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
 
     # -- basic access ------------------------------------------------------
 

@@ -198,14 +198,15 @@ def validate(scs: TruncatedSCS) -> ValidationReport:
                 )
             seen[y] = x
     if not v:
-        # exchange identities need valid shift maps first
+        # exchange identities need valid shift maps first; with them every
+        # lookup below is stored, as x has level <= N-2 and shifts add <= 1
         deep = [x for x in domain if scs.levels[x] <= N - 2]
         for j in range(1, N):
+            a_j, a_jm1 = scs.shifts[j], scs.shifts[j - 1]
             for i in range(j):
+                a_i = scs.shifts[i]
                 for x in deep:
-                    left = scs.alpha(j, scs.alpha(i, x))
-                    right = scs.alpha(i, scs.alpha(j - 1, x))
-                    if left != right:
+                    if a_j[a_i[x]] != a_i[a_jm1[x]]:
                         v.append(
                             Violation(
                                 "exchange",

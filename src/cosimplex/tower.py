@@ -276,12 +276,13 @@ def _label_images(tower: HilbertTower, k: int, vectors, max_level: int):
         yield lab, images
 
 
-def labeled_subspaces(tower: HilbertTower, max_level: int | None = None) -> dict:
+def labeled_subspaces(tower: HilbertTower, max_level: int | None = None, innov: dict | None = None) -> dict:
     """Label -> basis (list of ambient vectors) of the labeled subspace.
 
     Root spaces are cut out by orthogonality inside each innovation; every
     other labeled subspace is the image of its root space along the unique
     insertion chain.  Only labels whose root space is nonzero appear.
+    ``innov`` may pass in the innovation bases by level, if already built.
     """
     N = tower.max_level
     if max_level is None:
@@ -289,7 +290,8 @@ def labeled_subspaces(tower: HilbertTower, max_level: int | None = None) -> dict
     out = {}
     roots = {}
     top = min(max_level, N)
-    innov = {k: innovation_basis(tower, k) for k in range(-1, top + 1)}
+    if innov is None:
+        innov = {k: innovation_basis(tower, k) for k in range(-1, top + 1)}
     for k in range(-1, top + 1):
         basis = _root_space(tower, k, innov[k], innov.get(k - 1, []))
         if basis:
@@ -381,7 +383,8 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
                     ok_d = False
                     info.setdefault("complement_witness", {"i": i, "j": j, "k": k})
 
-    subspaces = labeled_subspaces(tower)
+    innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
+    subspaces = labeled_subspaces(tower, innov=innov)
     ok_e = True
     labs = sorted(subspaces, key=lambda l: l.sort_key())
     for a_idx in range(len(labs)):
@@ -397,11 +400,11 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
     agree = ok_c == ok_d == ok_e
     normal = ok_c and agree
     if normal and details:
-        info["decomposition"] = _normal_decomposition_details(tower, subspaces)
+        info["decomposition"] = _normal_decomposition_details(tower, subspaces, innov)
     return NormalityReport(ok_c, ok_d, ok_e, agree, normal, info), subspaces
 
 
-def _normal_decomposition_details(tower: HilbertTower, subspaces: dict) -> dict:
+def _normal_decomposition_details(tower: HilbertTower, subspaces: dict, innov: dict) -> dict:
     """Dimension bookkeeping and operational characterization on a normal tower."""
     N = tower.max_level
     out = {"level_dims_match": True, "innovation_split": True, "range_split": True, "operational": True}
@@ -409,9 +412,8 @@ def _normal_decomposition_details(tower: HilbertTower, subspaces: dict) -> dict:
         total = sum(len(vs) for lab, vs in subspaces.items() if lab.level <= k)
         if total != tower.dim(k):
             out["level_dims_match"] = False
-        innov = innovation_basis(tower, k)
         level_vs = [v for lab, vs in subspaces.items() if lab.level == k for v in vs]
-        if not subspace_equal(innov, level_vs):
+        if not subspace_equal(innov[k], level_vs):
             out["innovation_split"] = False
     for i in range(0, max(0, N)):
         rng = (tower.alpha(i) * tower.basis(N - 1)).columns()
@@ -435,8 +437,8 @@ def _normal_decomposition_details(tower: HilbertTower, subspaces: dict) -> dict:
             ai = tower.alpha(i)
             ai1 = tower.alpha(i + 1)
             for v in vs:
-                same = (ai * Matrix.from_columns([v])) == (ai1 * Matrix.from_columns([v]))
-                orth = dot(ai * v, ai1 * v) == 0
+                u, w = ai * v, ai1 * v
+                same, orth = u == w, dot(u, w) == 0
                 if lab.bit(i) == 0 and not same:
                     out["operational"] = False
                 if lab.bit(i) == 1 and not (orth and not same):

@@ -12,9 +12,9 @@ from cosimplex.cohomology import (
     explicit_cocycles,
     extended_coboundary,
 )
-from cosimplex.errors import PreconditionError
-from cosimplex.fixtures import example2_scs, figure2_scs
-from cosimplex.linalg import primitive, subspace_equal
+from cosimplex.errors import InternalInconsistencyError, PreconditionError, TruncationError
+from cosimplex.fixtures import example2_scs, figure2_scs, layered_scs
+from cosimplex.linalg import Matrix, primitive, subspace_equal
 from cosimplex.scs import TruncatedSCS, from_ell, prototypical
 
 
@@ -62,6 +62,46 @@ def test_cochain_condition_on_random_structures():
     for _ in range(40):
         N = rng.randint(1, 7)
         build_complex(from_ell(random_valid_ell(rng, N), N))  # asserts d.d = 0
+
+
+def reference_complex(scs):
+    """The dense construction: Fraction sign sums through ``scs.alpha``."""
+    N = scs.max_level
+    bases = {n: sorted(scs.X(n), key=lambda x: (scs.levels[x], x)) for n in range(-1, N + 1)}
+    matrices = {}
+    for n in range(-1, N):
+        index = {x: r for r, x in enumerate(bases[n + 1])}
+        rows = [[Fraction(0)] * len(bases[n]) for _ in bases[n + 1]]
+        for c, x in enumerate(bases[n]):
+            for i in range(0, n + 2):
+                rows[index[scs.alpha(i, x)]][c] += (-1) ** (n + 1 - i)
+        matrices[n] = Matrix(rows, ncols=len(bases[n]))
+    return bases, matrices
+
+
+def test_build_complex_equals_the_fraction_reference():
+    rng = random.Random(11)
+    cases = [prototypical(N) for N in range(-1, 21)]
+    cases += [from_ell(random_valid_ell(rng, N), N) for N in [rng.randint(0, 7) for _ in range(40)]]
+    cases += [layered_scs([1, 1, 1], 5), layered_scs([0, 2, 1, 1], 4), example2_scs(5), figure2_scs()]
+    for scs in cases:
+        cx = build_complex(scs)
+        bases, matrices = reference_complex(scs)
+        assert cx.bases == bases
+        assert cx.matrices == matrices
+        for M in cx.matrices.values():
+            assert all(type(M[i, j]) is Fraction for i in range(M.nrows) for j in range(M.ncols))
+
+
+def test_build_complex_checks_the_cochain_condition():
+    # swapping two targets of alpha_2 breaks d^1 d^0 = 0 (alpha_2 is the top
+    # coface of d^1, so the broken map is read)
+    scs = prototypical(3)
+    shifts = [dict(m) for m in scs.shifts]
+    shifts[2][0], shifts[2][1] = shifts[2][1], shifts[2][0]
+    broken = TruncatedSCS(3, dict(scs.levels), tuple(shifts))
+    with pytest.raises(InternalInconsistencyError, match=r"coboundary composition d\^1 d\^0 != 0"):
+        build_complex(broken)
 
 
 # -- the two level-function examples ---------------------------------------------------
@@ -151,6 +191,23 @@ def test_extended_coboundary_matches_matrix():
             col = cx.matrices[n].column(cx.basis(n).index(x))
             expect = {y: c for y, c in zip(cx.basis(n + 1), col) if c}
             assert vec == expect
+
+
+def test_extended_coboundary_int_and_fraction_coefficients_agree():
+    rng = random.Random(23)
+    for scs in (prototypical(6), example2_scs(5), layered_scs([1, 1, 1], 5)):
+        N = scs.max_level
+        for n in range(-1, N):
+            vec = {x: rng.randint(-3, 3) for x, lv in scs.levels.items() if lv <= n}
+            as_fractions = {x: Fraction(c) for x, c in vec.items()}
+            assert extended_coboundary(scs, n, vec) == extended_coboundary(scs, n, as_fractions)
+
+
+def test_extended_coboundary_rejects_a_top_level_element():
+    scs = prototypical(3)
+    for coeff in (1, Fraction(1)):
+        with pytest.raises(TruncationError):
+            extended_coboundary(scs, 2, {3: coeff})
 
 
 # -- identity suites ---------------------------------------------------------------------

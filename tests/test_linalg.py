@@ -160,6 +160,21 @@ def test_from_entries_rejects_an_index_outside_the_shape(ij):
         Matrix.from_entries(2, 3, {ij: 1})
 
 
+def test_from_columns_of_empty_columns_keeps_the_column_count():
+    M = Matrix.from_columns([(), ()], nrows=0)
+    assert (M.nrows, M.ncols) == (0, 2)
+    assert M == Matrix.zeros(0, 2)
+    assert Matrix.from_columns([], nrows=2) == Matrix.zeros(2, 0)
+
+
+def test_from_columns_rejects_columns_of_another_length():
+    with pytest.raises(ValueError, match="columns of length 5"):
+        Matrix.from_columns([(1,), (2,)], nrows=5)
+    with pytest.raises(ValueError, match="columns of length 2"):
+        Matrix.from_columns([(1, 2), (3,)])
+    assert Matrix.from_columns([(1,), (2,)], nrows=1) == mat([[1, 2]])
+
+
 def test_no_module_outside_linalg_touches_matrix_storage():
     """Only ``linalg`` reads or writes ``Matrix.rows``: everything else goes
     through ``from_entries``, ``M[i, j]``, ``row`` and ``column``."""

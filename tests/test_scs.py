@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cosimplex.errors import TruncationError
-from cosimplex.fixtures import example2_scs, figure2_scs
+from cosimplex.fixtures import example2_scs, figure2_scs, layered_scs
 from cosimplex.scs import (
     TruncatedSCS,
     check_saturation,
@@ -265,6 +265,45 @@ def test_validate_catches_exchange_break():
     report = validate(TruncatedSCS(5, dict(scs.levels), tuple(shifts)))
     kinds = {v.kind for v in report.violations}
     assert kinds == {"exchange"}
+
+
+def reference_exchange(scs):
+    """The exchange loop of ``validate`` evaluated through ``scs.alpha``."""
+    N = scs.max_level
+    deep = [x for x in scs.shift_domain() if scs.levels[x] <= N - 2]
+    out = []
+    for j in range(1, N):
+        for i in range(j):
+            for x in deep:
+                if scs.alpha(j, scs.alpha(i, x)) != scs.alpha(i, scs.alpha(j - 1, x)):
+                    message = f"alpha_{j} alpha_{i} != alpha_{i} alpha_{j-1} at {scs.name(x)}"
+                    out.append(("exchange", message, {"i": i, "j": j, "x": x}))
+    return out
+
+
+def test_validate_exchange_report_equals_the_alpha_reference():
+    rng = random.Random(41)
+    seeds = [example2_scs(5), figure2_scs(), layered_scs([1, 1, 1], 5), prototypical(6)]
+    broken = 0
+    for trial in range(400):
+        if trial % 2:
+            N = rng.randint(2, 7)
+            scs = from_ell(random_valid_ell(rng, N), N)
+        else:
+            scs = rng.choice(seeds)
+        shifts = [dict(m) for m in scs.shifts]
+        mapping = rng.choice(shifts)
+        if len(mapping) < 2:
+            continue
+        x1, x2 = rng.sample(sorted(mapping), 2)
+        mapping[x1], mapping[x2] = mapping[x2], mapping[x1]
+        mutated = TruncatedSCS(scs.max_level, dict(scs.levels), tuple(shifts), dict(scs.names))
+        found = [(v.kind, v.message, v.witness) for v in validate(mutated).violations]
+        if any(kind != "exchange" for kind, _, _ in found):
+            continue  # an earlier check failed, so the exchange loop never ran
+        assert found == reference_exchange(mutated)
+        broken += bool(found)
+    assert broken >= 20
 
 
 def test_validate_catches_missing_target():
