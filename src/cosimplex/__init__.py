@@ -6,25 +6,38 @@ extensions (normal_ext), inner-product towers with labeled subspaces and
 symmetric-group generators (tower), spreadable isometry families (spread),
 built-in examples (fixtures), JSON formats (io_json) and the command line
 (cli).
+
+``import cosimplex`` loads no submodule: each name in ``__all__`` imports its
+module on first use (PEP 562).  The CLI relies on this, and on each command
+importing only the modules it calls, so a process compiles only what its
+command runs.
 """
 
-from .labels import Label, enumerate_labels, is_morphism, join
-from .scs import TruncatedSCS, check_saturation, from_ell, prototypical, saturate, validate
-from .tower import HilbertTower, from_scs
+from importlib import import_module
 
-__all__ = [
-    "Label",
-    "enumerate_labels",
-    "is_morphism",
-    "join",
-    "TruncatedSCS",
-    "check_saturation",
-    "from_ell",
-    "prototypical",
-    "saturate",
-    "validate",
-    "HilbertTower",
-    "from_scs",
-]
+_SOURCES = {
+    "Label": "labels",
+    "enumerate_labels": "labels",
+    "is_morphism": "labels",
+    "join": "labels",
+    "TruncatedSCS": "scs",
+    "check_saturation": "scs",
+    "from_ell": "scs",
+    "prototypical": "scs",
+    "saturate": "scs",
+    "validate": "scs",
+    "HilbertTower": "tower",
+    "from_scs": "tower",
+}
+
+__all__ = list(_SOURCES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value

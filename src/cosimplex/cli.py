@@ -5,16 +5,23 @@ truncation insufficiency, 2 on malformed input (an invalid structure
 included), 3 when a self-check on a computed result fails.  Reports are
 deterministic byte streams for identical inputs (sorted JSON keys, no
 timestamps).
+
+Each command imports the modules it calls, so a process compiles only what
+its command runs; a new command does the same.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from . import cohomology as coh
-from . import fixtures, io_json, labels, normal_ext, scs, spread, tower
+from typing import TYPE_CHECKING
+
+from . import io_json
 from .errors import CosimplexError, FormatError, InternalInconsistencyError, TruncationError
-from .linalg import Matrix
+
+if TYPE_CHECKING:
+    from . import scs, spread, tower
+    from .linalg import Matrix
 
 
 def _emit(args, payload: dict, text_lines=None) -> None:
@@ -41,6 +48,7 @@ def _read_scs(path: str) -> scs.TruncatedSCS:
 
 def _load_scs(path: str) -> scs.TruncatedSCS:
     """Read a structure for analysis; an invalid one is rejected as input."""
+    from . import scs
     structure = _read_scs(path)
     report = scs.validate(structure)
     if not report.ok:
@@ -60,12 +68,14 @@ def _load_family(path: str) -> spread.SpreadableFamily:
 
 
 def cmd_scs_validate(args) -> int:
+    from . import scs
     report = scs.validate(_read_scs(args.file))
     _emit(args, report.to_dict(), ["valid" if report.ok else "invalid"])
     return 0 if report.ok else 1
 
 
 def cmd_scs_saturate(args) -> int:
+    from . import scs
     structure = _load_scs(args.file)
     saturated = scs.saturate(structure)
     _write_or_print(args, io_json.scs_to_dict(saturated))
@@ -81,12 +91,14 @@ def cmd_scs_innovations(args) -> int:
 
 
 def cmd_scs_definetti(args) -> int:
+    from . import scs
     report = scs.check_toy_definetti_scs(_load_scs(args.file))
     _emit(args, report.to_dict())
     return 0 if report.ok else 1
 
 
 def cmd_scs_gen(args) -> int:
+    from . import scs
     try:
         if args.kind == "prototypical":
             structure = scs.prototypical(int(args.arg))
@@ -103,6 +115,7 @@ def cmd_scs_gen(args) -> int:
 
 
 def cmd_scs_cohomology(args) -> int:
+    from . import cohomology as coh
     structure = _load_scs(args.file)
     cx = coh.build_complex(structure)
     report = coh.cohomology(cx)
@@ -129,6 +142,7 @@ def cmd_scs_cohomology(args) -> int:
 
 
 def cmd_scs_labels(args) -> int:
+    from . import normal_ext
     structure = _load_scs(args.file)
     table = normal_ext.normal_label_table(structure)
     payload = {
@@ -146,6 +160,7 @@ def cmd_scs_labels(args) -> int:
 
 
 def cmd_scs_extend(args) -> int:
+    from . import normal_ext
     structure = _load_scs(args.file)
     result = normal_ext.minimal_normal_extension(structure)
     payload = io_json.scs_to_dict(result.extension)
@@ -156,18 +171,21 @@ def cmd_scs_extend(args) -> int:
 
 
 def cmd_scs_classify(args) -> int:
+    from . import normal_ext
     invariant = normal_ext.classify(_load_scs(args.file))
     _emit(args, invariant.to_dict())
     return 0
 
 
 def cmd_scs_isomorphic(args) -> int:
+    from . import normal_ext
     verdict = normal_ext.is_isomorphic(_load_scs(args.a), _load_scs(args.b))
     _emit(args, {"isomorphic": verdict}, ["isomorphic" if verdict else "not isomorphic"])
     return 0 if verdict else 1
 
 
 def cmd_scs_dot(args) -> int:
+    from . import scs
     sys.stdout.write(scs.shift_graph_dot(_load_scs(args.file)))
     return 0
 
@@ -176,12 +194,14 @@ def cmd_scs_dot(args) -> int:
 
 
 def cmd_tower_check(args) -> int:
+    from . import tower
     report = tower.check_tower(_load_tower(args.file))
     _emit(args, report.to_dict())
     return 0 if report.ok else 1
 
 
 def cmd_tower_labels(args) -> int:
+    from . import tower
     t = _load_tower(args.file)
     subs = tower.labeled_subspaces(t)
     payload = {
@@ -193,6 +213,7 @@ def cmd_tower_labels(args) -> int:
 
 
 def cmd_tower_normal(args) -> int:
+    from . import tower
     report = tower.check_normal(_load_tower(args.file))
     _emit(
         args,
@@ -203,6 +224,7 @@ def cmd_tower_normal(args) -> int:
 
 
 def cmd_tower_symrep(args) -> int:
+    from . import tower
     t = _load_tower(args.file)
     data = tower.build_symmetric_rep(t)
     report = tower.check_hessenberg(data)
@@ -215,6 +237,7 @@ def cmd_tower_symrep(args) -> int:
 
 
 def cmd_tower_hessenberg(args) -> int:
+    from . import tower
     t = _load_tower(args.file)
     data = tower.build_symmetric_rep(t)
     report = tower.check_hessenberg(data)
@@ -223,12 +246,14 @@ def cmd_tower_hessenberg(args) -> int:
 
 
 def cmd_tower_definetti(args) -> int:
+    from . import tower
     report = tower.check_toy_definetti(_load_tower(args.file))
     _emit(args, report.to_dict())
     return 0 if report.ok else 1
 
 
 def cmd_tower_from_scs(args) -> int:
+    from . import tower
     structure = _load_scs(args.file)
     _write_or_print(args, io_json.tower_to_dict(tower.from_scs(structure)))
     return 0
@@ -248,6 +273,9 @@ def _parse_contraction(path: str) -> Matrix:
 
 
 def cmd_spread_from_c(args) -> int:
+    from . import spread
+    if args.n < 0:
+        raise FormatError(f"spread from-c: -n must be >= 0, got {args.n}")
     C = _parse_contraction(args.file)
     if args.scalar == "float":
         import numpy as np
@@ -264,24 +292,28 @@ def cmd_spread_from_c(args) -> int:
 
 
 def cmd_spread_angle(args) -> int:
+    from . import spread
     report = spread.operator_angle(_load_family(args.file))
     _emit(args, report.to_dict())
     return 0
 
 
 def cmd_spread_minsch(args) -> int:
+    from . import spread
     t = spread.minimal_sch(_load_family(args.file))
     _write_or_print(args, io_json.tower_to_dict(t))
     return 0
 
 
 def cmd_spread_theorem_c(args) -> int:
+    from . import spread
     report = spread.check_theorem_C(_load_family(args.file))
     _emit(args, report.to_dict())
     return 0 if report.ok else 1
 
 
 def cmd_spread_equiv(args) -> int:
+    from . import spread
     result = spread.check_complete_invariant(_load_family(args.a), _load_family(args.b))
     _emit(args, result.to_dict())
     return 0 if result.equivalent else 1
@@ -291,23 +323,32 @@ def cmd_spread_equiv(args) -> int:
 
 
 def cmd_graph_dot(args) -> int:
+    from . import labels
+    if args.rank < 0:
+        raise FormatError(f"graph dot: --rank must be >= 0, got {args.rank}")
+    if args.level < -1:
+        raise FormatError(f"graph dot: --level must be >= -1, got {args.level}")
     sys.stdout.write(labels.skeleton_dot(args.rank, args.level))
     return 0
 
 
+# Builders take the fixtures module, so defining the table imports nothing.
 _FIXTURES = {
-    "prototypical": lambda n: io_json.scs_to_dict(fixtures.prototypical(n if n is not None else 5)),
-    "example2": lambda n: io_json.scs_to_dict(fixtures.example2_scs(n if n is not None else 5)),
-    "figure2": lambda n: io_json.scs_to_dict(fixtures.figure2_scs()),
-    "ell2": lambda n: io_json.family_to_dict(fixtures.ell2_family(n if n is not None else 5)),
+    "prototypical": lambda fx, n: io_json.scs_to_dict(fx.prototypical(n if n is not None else 5)),
+    "example2": lambda fx, n: io_json.scs_to_dict(fx.example2_scs(n if n is not None else 5)),
+    "figure2": lambda fx, n: io_json.scs_to_dict(fx.figure2_scs()),
+    "ell2": lambda fx, n: io_json.family_to_dict(fx.ell2_family(n if n is not None else 5)),
 }
 
 
 def cmd_fixture(args) -> int:
+    from . import fixtures
     builder = _FIXTURES.get(args.name)
     if builder is None:
         raise FormatError(f"unknown fixture {args.name!r}; choose from {sorted(_FIXTURES)}")
-    _write_or_print(args, builder(args.N))
+    if args.N is not None and args.N < 0:
+        raise FormatError(f"fixture {args.name}: -N must be >= 0, got {args.N}")
+    _write_or_print(args, builder(fixtures, args.N))
     return 0
 
 

@@ -16,11 +16,13 @@ All builders are deterministic.  The set-level fixtures:
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .linalg import Matrix
-from .normal_ext import layer_scs
 from .scs import TruncatedSCS, disjoint_union, from_ell, prototypical
-from .tower import HilbertTower
+
+if TYPE_CHECKING:
+    from .tower import HilbertTower
 
 __all__ = [
     "prototypical",
@@ -71,6 +73,7 @@ def figure2_scs() -> TruncatedSCS:
 def layer_minus_root_scs(rank: int, N: int) -> TruncatedSCS:
     """A single layer with its root element removed: saturated, not normal
     for rank >= 2 (the root's images share shift images pairwise)."""
+    from .normal_ext import layer_scs
     layer = layer_scs(rank, N)
     root_id = next(
         i for i, lv in layer.levels.items() if lv == min(layer.levels.values())
@@ -87,6 +90,7 @@ def layer_minus_root_scs(rank: int, N: int) -> TruncatedSCS:
 def layered_scs(root_dims, N: int) -> TruncatedSCS:
     """Disjoint union of layers: root_dims[k] copies of the rank k+1 layer,
     with root_dims indexed from level -1 (rank 0) upward."""
+    from .normal_ext import layer_scs
     result = None
     copy = 0
     for offset, mult in enumerate(root_dims):
@@ -107,6 +111,7 @@ def identity_shift_tower(N: int) -> HilbertTower:
     """One-dimensional tower with H_{-1} = H_0 = 0, H_n the whole line for
     n >= 1 and every shift the identity: innovations shift correctly at the
     bottom although the tower is not saturated there."""
+    from .tower import HilbertTower
     one = Matrix.identity(1)
     zero = Matrix.zeros(1, 0)
     level_bases = [zero, zero] + [one for _ in range(N)]
@@ -116,6 +121,7 @@ def identity_shift_tower(N: int) -> HilbertTower:
 
 def rotate_tower(tower: HilbertTower, Q: Matrix) -> HilbertTower:
     """Conjugate every level and shift by an orthogonal rational matrix."""
+    from .tower import HilbertTower
     Qt = Q.transpose()
     if Q * Qt != Matrix.identity(tower.ambient_dim):
         raise ValueError("rotation matrix must be orthogonal")

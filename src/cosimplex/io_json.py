@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import FormatError
-from .linalg import Matrix
-from .scs import TruncatedSCS
-from .spread import SpreadableFamily
-from .tower import HilbertTower
+
+if TYPE_CHECKING:
+    from .linalg import Matrix
+    from .scs import TruncatedSCS
+    from .spread import SpreadableFamily
+    from .tower import HilbertTower
 
 
 def _frac_to_str(x: Fraction) -> str:
@@ -34,6 +37,7 @@ def matrix_to_json(mat: Matrix) -> list:
 
 
 def matrix_from_json(data, ncols=None) -> Matrix:
+    from .linalg import Matrix
     if not isinstance(data, list):
         raise FormatError("matrix must be a list of rows")
     mat = Matrix([[_str_to_frac(x) for x in row] for row in data], ncols=ncols)
@@ -78,6 +82,7 @@ def scs_to_dict(scs: TruncatedSCS) -> dict:
 
 
 def scs_from_dict(data: dict) -> TruncatedSCS:
+    from .scs import TruncatedSCS
     try:
         N = _max_level(data)
         levels = {}
@@ -146,6 +151,8 @@ def _as_index_set(B: Matrix):
 
 
 def tower_from_dict(data: dict) -> HilbertTower:
+    from .linalg import Matrix
+    from .tower import HilbertTower
     try:
         N = _max_level(data)
         dim = int(data["ambient_dim"])
@@ -206,6 +213,7 @@ def tower_from_dict(data: dict) -> HilbertTower:
 
 
 def family_to_dict(family: SpreadableFamily) -> dict:
+    from .linalg import Matrix
     out = {
         "k_dim": family.k_dim,
         "ambient_dim": family.ambient_dim,
@@ -219,6 +227,7 @@ def family_to_dict(family: SpreadableFamily) -> dict:
 
 
 def family_from_dict(data: dict) -> SpreadableFamily:
+    from .spread import SpreadableFamily
     try:
         k = int(data["k_dim"])
         dim = int(data["ambient_dim"])

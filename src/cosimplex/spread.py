@@ -461,6 +461,8 @@ def float_operator_angle(family: FloatSpreadableFamily, tol: float = 1e-10):
     """(angle, max deviation over pairs); raises when not spreadable."""
     import numpy as np
 
+    if len(family.isometries) < 2:
+        raise PreconditionError("need at least two isometries")
     raw = family.isometries[1].T @ family.isometries[0]
     deviation = 0.0
     for j in range(1, len(family.isometries)):

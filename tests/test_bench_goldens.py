@@ -1,20 +1,43 @@
 """The benchmark's golden digests, checked in the test suite.
 
-Runs the default-seed job lists of the two in-process benchmark workloads
-(``integer`` and ``rational``) once and compares each job's output digest
-and its own verdict checks with ``bench/goldens.json``, so a change in any
-report, matrix or job key shows here before a benchmark run.  The benchmark
-module is loaded from its file without writing anything under ``bench/``.
+Runs the default-seed job lists of the three benchmark workloads once and
+compares each job's output digest and its own verdict checks with
+``bench/goldens.json``, so a change in any report, matrix or job key shows
+here before a benchmark run.  ``integer`` and ``rational`` run in this
+process; each ``cli`` job runs ``python -m cosimplex.cli`` in a fresh
+process, which also catches an import cycle or a missing import that only a
+cold start shows.  The benchmark module is loaded from its file without
+writing anything under ``bench/``.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+
+
+class FreshProcesses:
+    """Runs each CLI command in a new interpreter with ``PYTHONPATH=src``;
+    an argument naming a file in ``work_dir`` becomes its path, as in the
+    benchmark's own runner."""
+
+    def __init__(self, work_dir):
+        self.work_dir = work_dir
+        self.env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(self, argv):
+        full = [str(self.work_dir / a) if (self.work_dir / a).is_file() else a for a in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "cosimplex.cli", *full], capture_output=True, env=self.env
+        )
+        return result.returncode, result.stdout
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +54,12 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["integer", "rational"])
-def test_default_seed_jobs_match_the_golden_digests(workloads, workload):
+@pytest.mark.parametrize("workload", ["integer", "rational", "cli"])
+def test_default_seed_jobs_match_the_golden_digests(workloads, workload, tmp_path):
     goldens = json.loads((BENCH / "goldens.json").read_text(encoding="utf-8"))
     seed = goldens["seed"]
     table = goldens["workloads"][workload]
-    jobs = workloads.make_jobs(workload, seed)
+    jobs = workloads.make_jobs(workload, seed, tmp_path, FreshProcesses(tmp_path))
     assert {job.key for job in jobs} == set(table)
     for job in jobs:
         results = job.run()

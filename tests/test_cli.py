@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cosimplex import cli
+import cosimplex.cohomology
 from cosimplex.cli import main
 from cosimplex.errors import InternalInconsistencyError
 from cosimplex.fixtures import example2_scs, figure2_scs, prototypical
@@ -128,11 +128,11 @@ def test_internal_inconsistency_is_code_3(tmp_path, capsys, monkeypatch):
         raise InternalInconsistencyError("coboundary composition d^1 d^0 != 0")
 
     path = write(tmp_path, "proto.json", scs_to_dict(prototypical(3)))
-    monkeypatch.setattr(cli.coh, "explicit_cocycles", broken)
+    monkeypatch.setattr(cosimplex.cohomology, "explicit_cocycles", broken)
     code, out, err = run(capsys, "scs", "cohomology", "--explicit", path)
     assert (code, out) == (3, "")
     assert err == "internal error: coboundary composition d^1 d^0 != 0\n"
-    monkeypatch.setattr(cli.coh, "build_complex", broken)
+    monkeypatch.setattr(cosimplex.cohomology, "build_complex", broken)
     code, out, err = run(capsys, "scs", "cohomology", path)
     assert (code, out) == (3, "")
     assert err.startswith("internal error: ")
@@ -319,14 +319,111 @@ def test_family_file_with_the_wrong_shapes_is_code_2(tmp_path, capsys, edit, mes
         assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
-def test_exact_cli_import_leaves_numpy_unloaded():
-    probe = "import sys, cosimplex.cli; print('numpy' in sys.modules)"
+# Prints, as JSON, the cosimplex modules loaded after `import cosimplex`, after
+# `import cosimplex.cli` and after running the command in argv, and whether
+# numpy was loaded after the import of the CLI.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cosimplex."))
+
+import cosimplex
+stages = {"package": loaded()}
+import cosimplex.cli
+stages["cli"] = loaded()
+stages["numpy"] = "numpy" in sys.modules
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        stages["code"] = cosimplex.cli.main(sys.argv[1:])
+    stages["command"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def _fresh_python(code, *argv):
+    """stdout of ``code`` run in a new interpreter that imports from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout
+
+
+def _fresh_modules(*argv):
+    return json.loads(_fresh_python(_MODULE_PROBE, *argv))
+
+
+def test_exact_cli_import_leaves_numpy_unloaded():
+    stages = _fresh_modules()
+    assert stages["package"] == []
+    assert stages["cli"] == ["cli", "errors", "io_json"]
+    assert stages["numpy"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (
+            ["scs", "validate", "structure.json"],
+            {"linalg", "tower", "spread", "cohomology", "normal_ext", "fixtures"},
+        ),
+        (["tower", "check", "tower.json"], {"spread", "cohomology", "normal_ext", "fixtures"}),
+        (["fixture", "figure2"], {"tower", "spread", "cohomology", "normal_ext", "labels"}),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_calls(tmp_path, argv, unloaded):
+    write(tmp_path, "structure.json", scs_to_dict(prototypical(3)))
+    write(tmp_path, "tower.json", tower_to_dict(from_scs(prototypical(3))))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    stages = _fresh_modules(*argv)
+    assert stages["code"] == 0
+    assert not unloaded & set(stages["command"]), stages["command"]
+
+
+def test_package_names_resolve_on_first_use():
+    probe = (
+        "import cosimplex\n"
+        "from cosimplex import prototypical, validate\n"
+        "names = {n: getattr(cosimplex, n).__module__ for n in cosimplex.__all__}\n"
+        "assert validate(prototypical(2)).ok\n"
+        "try:\n"
+        "    cosimplex.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print(sorted(set(names.values())))\n"
+        "print(all(n in vars(cosimplex) for n in cosimplex.__all__))\n"
+    )
+    assert _fresh_python(probe).splitlines() == [
+        "module 'cosimplex' has no attribute 'no_such_name'",
+        "['cosimplex.labels', 'cosimplex.scs', 'cosimplex.tower']",
+        "True",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fixture", "prototypical", "-N", "-5"], "fixture prototypical: -N must be >= 0, got -5"),
+        (["fixture", "example2", "-N", "-3"], "fixture example2: -N must be >= 0, got -3"),
+        (["graph", "dot", "--level", "-2"], "graph dot: --level must be >= -1, got -2"),
+        (["graph", "dot", "--rank", "-1"], "graph dot: --rank must be >= 0, got -1"),
+        (["--scalar", "float", "spread", "from-c", "c.json", "-n", "-1"], "spread from-c: -n must be >= 0, got -1"),
+        (["spread", "from-c", "c.json", "-n", "-2"], "spread from-c: -n must be >= 0, got -2"),
+    ],
+)
+def test_negative_size_arguments_are_code_2(tmp_path, capsys, argv, message):
+    path = write(tmp_path, "c.json", [["9/25"]])
+    argv = [path if a == "c.json" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_float_lane_with_one_map_is_a_precondition_error(tmp_path, capsys):
+    path = write(tmp_path, "c.json", [["9/25"]])
+    code, out, err = run(capsys, "--scalar", "float", "spread", "from-c", path, "-n", "0")
+    assert (code, out, err) == (1, "", "error: need at least two isometries\n")
 
 
 def test_gen_and_cohomology_example(tmp_path, capsys):
