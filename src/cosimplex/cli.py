@@ -17,7 +17,8 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import io_json
-from .errors import CosimplexError, FormatError, InternalInconsistencyError, TruncationError
+from .errors import CosimplexError, FormatError, InternalInconsistencyError
+from .errors import InvalidStructureError, TruncationError
 
 if TYPE_CHECKING:
     from . import scs, spread, tower
@@ -324,11 +325,11 @@ def cmd_spread_equiv(args) -> int:
 
 def cmd_graph_dot(args) -> int:
     from . import labels
-    if args.rank < 0:
-        raise FormatError(f"graph dot: --rank must be >= 0, got {args.rank}")
-    if args.level < -1:
-        raise FormatError(f"graph dot: --level must be >= -1, got {args.level}")
-    sys.stdout.write(labels.skeleton_dot(args.rank, args.level))
+    try:
+        dot = labels.skeleton_dot(args.rank, args.level)
+    except ValueError as exc:
+        raise FormatError(f"graph dot: {exc}") from None
+    sys.stdout.write(dot)
     return 0
 
 
@@ -346,9 +347,11 @@ def cmd_fixture(args) -> int:
     builder = _FIXTURES.get(args.name)
     if builder is None:
         raise FormatError(f"unknown fixture {args.name!r}; choose from {sorted(_FIXTURES)}")
-    if args.N is not None and args.N < 0:
-        raise FormatError(f"fixture {args.name}: -N must be >= 0, got {args.N}")
-    _write_or_print(args, builder(fixtures, args.N))
+    try:
+        payload = builder(fixtures, args.N)
+    except (ValueError, InvalidStructureError) as exc:
+        raise FormatError(f"fixture {args.name}: {exc}") from None
+    _write_or_print(args, payload)
     return 0
 
 

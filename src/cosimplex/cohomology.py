@@ -238,17 +238,16 @@ def explicit_cocycles(scs: TruncatedSCS, k: int, cx: CochainComplex | None = Non
     return vectors
 
 
-def check_cocycle_identities(scs: TruncatedSCS, cx: CochainComplex | None = None) -> CheckReport:
+def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
     """Verify the general cocycle identities as exact subspace statements.
 
     Checked at every computable level: cocycles meeting a lower cochain space
     are coboundaries there; the two-step identity d^k(x) = x - d^{l-1}(x) or
     d^{l-1}(x) for x at level l (parity of k-l); stability of cocycles two
     levels up; and the fixed-point description x = d^{k-1}(x) of cocycles.
-    ``cx`` is the complex of ``scs`` when the caller has built it already.
     """
     N = scs.max_level
-    cx = cx or build_complex(scs)
+    cx = build_complex(scs)
     report = CheckReport()
 
     def embed(vec_cols, src_level, dst_level):

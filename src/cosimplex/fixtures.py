@@ -153,6 +153,8 @@ def ell2_family(N: int = 5):
     """
     from .spread import SpreadableFamily
 
+    if N < 0:
+        raise ValueError("N must be >= 0")
     dim = N + 2  # index s holds slot s-1
     isometries = [
         Matrix.from_entries(dim, 1, {(0, 0): 1, (n + 1, 0): 1}) for n in range(N + 1)

@@ -293,6 +293,8 @@ def skeleton_dot(max_rank: int, max_level: int) -> str:
     Vertices are named by their bit strings, roots are bold, and every gap
     coordinate uses one colour class.
     """
+    if max_rank < 0:
+        raise ValueError("max_rank must be >= 0")
     lines = [
         "digraph label_skeleton {",
         "  rankdir=LR;",

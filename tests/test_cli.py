@@ -405,10 +405,11 @@ def test_package_names_resolve_on_first_use():
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["fixture", "prototypical", "-N", "-5"], "fixture prototypical: -N must be >= 0, got -5"),
-        (["fixture", "example2", "-N", "-3"], "fixture example2: -N must be >= 0, got -3"),
-        (["graph", "dot", "--level", "-2"], "graph dot: --level must be >= -1, got -2"),
-        (["graph", "dot", "--rank", "-1"], "graph dot: --rank must be >= 0, got -1"),
+        (["fixture", "prototypical", "-N", "-5"], "fixture prototypical: N must be >= -1"),
+        (["fixture", "example2", "-N", "-3"], "fixture example2: max_level must be >= -1"),
+        (["fixture", "ell2", "-N", "-1"], "fixture ell2: N must be >= 0"),
+        (["graph", "dot", "--level", "-2"], "graph dot: max_level must be >= -1"),
+        (["graph", "dot", "--rank", "-1"], "graph dot: max_rank must be >= 0"),
         (["--scalar", "float", "spread", "from-c", "c.json", "-n", "-1"], "spread from-c: -n must be >= 0, got -1"),
         (["spread", "from-c", "c.json", "-n", "-2"], "spread from-c: -n must be >= 0, got -2"),
     ],
@@ -418,6 +419,13 @@ def test_negative_size_arguments_are_code_2(tmp_path, capsys, argv, message):
     argv = [path if a == "c.json" else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["prototypical", "example2"])
+def test_set_level_fixtures_at_level_minus_one_are_empty(capsys, name):
+    code, out, err = run(capsys, "fixture", name, "-N", "-1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == scs_to_dict(prototypical(-1))
 
 
 def test_float_lane_with_one_map_is_a_precondition_error(tmp_path, capsys):

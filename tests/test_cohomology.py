@@ -230,19 +230,6 @@ def test_cocycle_identities_hold():
         assert report.ok, report.failures
 
 
-def test_cocycle_identities_reuse_a_given_complex(monkeypatch):
-    import cosimplex.cohomology as coh
-
-    structures = [prototypical(5), example2_scs(5), figure2_scs(), from_ell([1, 1, 2, 3, 4], 4)]
-    expected = [check_cocycle_identities(scs).to_dict() for scs in structures]
-    complexes = [build_complex(scs) for scs in structures]
-    calls = []
-    monkeypatch.setattr(coh, "build_complex", lambda scs: calls.append(scs))
-    for scs, cx, report in zip(structures, complexes, expected):
-        assert check_cocycle_identities(scs, cx).to_dict() == report
-    assert calls == []
-
-
 def test_sign_convention_invariance():
     # flipping the sign of every coboundary changes no kernel or image rank
     scs = from_ell([1, 1, 2, 3, 4, 5], 5)
