@@ -106,8 +106,6 @@ def cmd_scs_gen(args) -> int:
         else:
             values = [int(v) for v in args.arg.split(",")]
             N = int(args.N) if args.N is not None else len(values) - 1
-            if len(values) < N + 1:
-                values = values + list(range(len(values), N + 1))
             structure = scs.from_ell(values, N)
     except ValueError as exc:
         raise FormatError(f"scs gen {args.kind} {args.arg}: {exc}") from None
@@ -333,11 +331,17 @@ def cmd_graph_dot(args) -> int:
     return 0
 
 
+def _figure2(fx, n):
+    if n is not None:
+        raise ValueError("-N does not apply, its max_level is fixed at 3")
+    return io_json.scs_to_dict(fx.figure2_scs())
+
+
 # Builders take the fixtures module, so defining the table imports nothing.
 _FIXTURES = {
     "prototypical": lambda fx, n: io_json.scs_to_dict(fx.prototypical(n if n is not None else 5)),
     "example2": lambda fx, n: io_json.scs_to_dict(fx.example2_scs(n if n is not None else 5)),
-    "figure2": lambda fx, n: io_json.scs_to_dict(fx.figure2_scs()),
+    "figure2": _figure2,
     "ell2": lambda fx, n: io_json.family_to_dict(fx.ell2_family(n if n is not None else 5)),
 }
 

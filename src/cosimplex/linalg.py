@@ -29,6 +29,12 @@ Determinism conventions used throughout the package:
 Matrices are built with ``from_entries``, ``from_columns``, ``zeros`` and
 ``identity`` (or from a list of rows), and read with ``M[i, j]``, ``row`` and
 ``column``; no code outside this module changes a matrix in place.
+
+A matrix caches the ``_ints`` form of its rows in the ``_int_rows`` slot:
+``None`` when built, filled from ``rows`` the first time the matrix is a
+product operand, then only read.  So ``rows`` is written only before first
+use, or the cache goes stale: ``from_entries`` writes into a fresh ``zeros``,
+and so does the benchmark's ``_diag`` (``bench/workloads.py``).
 """
 
 from __future__ import annotations
@@ -82,16 +88,10 @@ def _fractions(ints, den) -> list:
     return [Fraction(x, den) if x else _F0 for x in ints]
 
 
-def _dot_ints(pu, vals, du) -> Fraction:
-    """Sum of ``(x / du) * vals[t]`` over the ``t``-th pair ``(j, x)`` of
-    ``pu``: ``vals`` holds the other operand at the columns of ``pu``."""
-    pairs, d = _ints(vals)
-    s = 0
-    for t, b in pairs:
-        s += pu[t][1] * b
+def _ratio(s, d) -> Fraction:
+    """``s / d`` for integers; zero is the shared ``_F0``."""
     if not s:
         return _F0
-    d *= du
     return Fraction(s) if d == 1 else Fraction(s, d)
 
 
@@ -112,10 +112,11 @@ def _content(ints) -> int:
 class Matrix:
     """Dense rational matrix; rows are lists of Fractions."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_int_rows")
 
     def __init__(self, rows, ncols=None):
         self.rows = [[_frac(x) for x in row] for row in rows]
+        self._int_rows = None
         self.nrows = len(self.rows)
         if self.nrows:
             self.ncols = len(self.rows[0])
@@ -130,6 +131,7 @@ class Matrix:
         Fractions, ``ncols`` wide, as this module's own operations build."""
         out = Matrix.__new__(Matrix)
         out.rows, out.nrows, out.ncols = rows, len(rows), ncols
+        out._int_rows = None
         return out
 
     # -- constructors ------------------------------------------------------
@@ -219,12 +221,19 @@ class Matrix:
         c = _frac(c)
         return Matrix._of([[c * x for x in row] for row in self.rows], self.ncols)
 
+    def _int_form(self) -> list:
+        """``_ints`` of each row, computed the first time the matrix is a
+        product operand and kept; shared, so read it and never write it."""
+        if self._int_rows is None:
+            self._int_rows = [_ints(row) for row in self.rows]
+        return self._int_rows
+
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
             # row k of other is right[k] / L, row i of self is pairs / d_i
-            right = [_ints(row) for row in other.rows]
+            right = other._int_form()
             L = 1
             for _, d in right:
                 if L % d:
@@ -232,21 +241,25 @@ class Matrix:
             right = [pairs if d == L else [(j, x * (L // d)) for j, x in pairs] for pairs, d in right]
             nc = other.ncols
             out = []
-            for row in self.rows:
-                pairs, d = _ints(row)
+            for pairs, d in self._int_form():
                 acc = [0] * nc
                 for k, a in pairs:
                     for j, b in right[k]:
                         acc[j] += a * b
                 out.append(_fractions(acc, d * L))
             return Matrix._of(out, nc)
-        # matrix * vector: only the columns where the vector is nonzero count
         vec = list(other)
         if self.ncols != len(vec):
             raise ValueError("shape mismatch in matrix-vector product")
         pv, dv = _ints(vec)
-        cols = [j for j, _ in pv]
-        return tuple(_dot_ints(pv, [row[j] for j in cols], dv) for row in self.rows)
+        v = _dense(pv, len(vec))
+        out = []
+        for pairs, d in self._int_form():
+            s = 0
+            for j, x in pairs:
+                s += x * v[j]
+            out.append(_ratio(s, d * dv))
+        return tuple(out)
 
     def transpose(self):
         return Matrix._of([list(col) for col in zip(*self.rows)], self.nrows) if self.rows else Matrix.zeros(self.ncols, 0)
@@ -318,7 +331,11 @@ class Matrix:
 
 def dot(u, v) -> Fraction:
     pu, du = _ints(u)
-    return _dot_ints(pu, [v[j] for j, _ in pu], du)
+    pv, dv = _ints([v[j] for j, _ in pu])  # v at the nonzero columns of u
+    s = 0
+    for t, b in pv:
+        s += pu[t][1] * b
+    return _ratio(s, du * dv)
 
 
 def vec_scale(c, u):

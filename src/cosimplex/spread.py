@@ -87,17 +87,25 @@ def operator_angle(family: SpreadableFamily) -> AngleReport:
     Raises ``NotSpreadableError`` (with a witness pair) when some ι_j^T ι_i
     deviates from the common value, or when an isometry fails its Gram.
     """
+    shifts = family.ambient_shifts
+    return _angle(family, _fixed_projection(shifts[0]) if shifts else None)
+
+
+def _angle(family: SpreadableFamily, Q: Matrix | None) -> AngleReport:
+    """The report of :func:`operator_angle`, with the fixed-space identity
+    tested against the given projection ``Q`` (``None``: not tested)."""
     if family.count < 2:
         raise PreconditionError("need at least two isometries")
     G = family.gram
+    iotas = family.isometries
+    adjoints = [iota.transpose() for iota in iotas]
     for n in range(family.count):
-        if family.iota(n).transpose() * family.iota(n) != G:
+        if adjoints[n] * iotas[n] != G:
             raise NotSpreadableError(f"map {n} is not an isometry of K", witness=(n, n))
-    raw = family.iota(1).transpose() * family.iota(0)
+    raw = adjoints[1] * iotas[0]
     for j in range(1, family.count):
         for i in range(j):
-            val = family.iota(j).transpose() * family.iota(i)
-            if val != raw:
+            if adjoints[j] * iotas[i] != raw:
                 raise NotSpreadableError(
                     f"angle of pair ({i}, {j}) differs from the common value",
                     witness=(i, j),
@@ -105,12 +113,9 @@ def operator_angle(family: SpreadableFamily) -> AngleReport:
     positive = is_symmetric(raw) and is_psd(raw)
     contraction = is_psd(G - raw) if positive else False
     fixed_identity = None
-    if family.ambient_shifts:
-        Q = _fixed_projection(family.ambient_shifts[0])
-        fixed_identity = (
-            family.iota(1).transpose() * Q * family.iota(0) == raw
-            and family.iota(0).transpose() * Q * family.iota(0) == raw
-        )
+    if Q is not None:
+        Q_iota0 = Q * iotas[0]
+        fixed_identity = adjoints[1] * Q_iota0 == raw and adjoints[0] * Q_iota0 == raw
     C_op = G.inverse() * raw
     return AngleReport(raw, C_op, positive, contraction, Fraction(0), fixed_identity)
 
@@ -294,20 +299,17 @@ def check_theorem_C(family: SpreadableFamily) -> TheoremCReport:
             "the ambient must carry the shifts to locate the fixed space"
         )
     report_failures = []
-    angle = operator_angle(family)
     Q = _fixed_projection(family.ambient_shifts[0])
-    I = Matrix.identity(family.ambient_dim)
-    comps = [(I - Q) * family.iota(n) for n in range(family.count)]
+    angle = _angle(family, Q)
+    complement = Matrix.identity(family.ambient_dim) - Q
+    comps = [complement * family.iota(n) for n in range(family.count)]
     ortho = True
     for j in range(family.count):
         for i in range(j):
             if not (comps[j].transpose() * comps[i]).is_zero():
                 ortho = False
                 report_failures.append({"check": "orthogonal-complements", "pair": [i, j]})
-    identity_ok = (
-        family.iota(1).transpose() * Q * family.iota(0) == angle.raw_angle
-        and family.iota(0).transpose() * Q * family.iota(0) == angle.raw_angle
-    )
+    identity_ok = angle.fixed_space_identity
     if not identity_ok:
         report_failures.append({"check": "angle-identity"})
     if not angle.positive:
@@ -373,8 +375,8 @@ def check_complete_invariant(fam_a: SpreadableFamily, fam_b: SpreadableFamily) -
     """
     if fam_a.k_dim != fam_b.k_dim:
         return InvariantResult(False, "different K dimensions", False)
-    angle_a = operator_angle(fam_a)
-    angle_b = operator_angle(fam_b)
+    angle_a = _angle(fam_a, None)
+    angle_b = _angle(fam_b, None)
     if char_poly(angle_a.operator_angle) != char_poly(angle_b.operator_angle):
         return InvariantResult(False, "different angle spectra", False)
     if fam_a.gram == fam_b.gram and angle_a.raw_angle == angle_b.raw_angle:

@@ -1,13 +1,14 @@
 """The benchmark's golden digests, checked in the test suite.
 
-Runs the default-seed job lists of the three benchmark workloads once and
+Runs the default-seed job lists of the three benchmark workloads and
 compares each job's output digest and its own verdict checks with
 ``bench/goldens.json``, so a change in any report, matrix or job key shows
-here before a benchmark run.  ``integer`` and ``rational`` run in this
-process; each ``cli`` job runs ``python -m cosimplex.cli`` in a fresh
-process, which also catches an import cycle or a missing import that only a
-cold start shows.  The benchmark module is loaded from its file without
-writing anything under ``bench/``.
+here before a benchmark run.  ``integer`` and ``rational`` run twice in this
+process, as the benchmark's passes do, so state that survives a pass and
+goes stale shows too; each ``cli`` job runs ``python -m cosimplex.cli`` once
+in a fresh process, which also catches an import cycle or a missing import
+that only a cold start shows.  The benchmark module is loaded from its file
+without writing anything under ``bench/``.
 """
 
 import importlib.util
@@ -61,7 +62,10 @@ def test_default_seed_jobs_match_the_golden_digests(workloads, workload, tmp_pat
     table = goldens["workloads"][workload]
     jobs = workloads.make_jobs(workload, seed, tmp_path, FreshProcesses(tmp_path))
     assert {job.key for job in jobs} == set(table)
-    for job in jobs:
-        results = job.run()
-        assert job.check(results) == [], job.key
-        assert workloads.digest(job.encode(results)) == table[job.key], job.key
+    # the second pass reruns the towers built at set-up, whose matrices then
+    # carry the integer rows cached in the first pass
+    for _ in range(1 if workload == "cli" else 2):
+        for job in jobs:
+            results = job.run()
+            assert job.check(results) == [], job.key
+            assert workloads.digest(job.encode(results)) == table[job.key], job.key

@@ -151,9 +151,10 @@ def test_missing_file_is_code_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("arg", ["0,5,2", "0,x"])
+# "1,1 5": two values for ell(0..5) are too few, and none is filled in
+@pytest.mark.parametrize("arg", ["0,5,2", "0,x", "1,1 5"])
 def test_gen_ell_bad_level_function_is_code_2(capsys, arg):
-    code, out, err = run(capsys, "scs", "gen", "ell", arg)
+    code, out, err = run(capsys, "scs", "gen", "ell", *arg.split())
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
@@ -533,6 +534,10 @@ def test_fixture_command(tmp_path, capsys):
     assert json.loads(out)["max_level"] == 3
     code, _, err = run(capsys, "fixture", "nonsense")
     assert code == 2
+    for N in ("9", "3"):  # figure2 has no size, so -N is never silently dropped
+        code, out, err = run(capsys, "fixture", "figure2", "-N", N)
+        message = "fixture figure2: -N does not apply, its max_level is fixed at 3"
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 def test_determinism_of_reports(tmp_path, capsys):

@@ -3,8 +3,8 @@ isometries, fixed vectors, column selection, the subspace tests, kernel, solve
 and inverse against a dense Gauss-Jordan reference ``rref`` and the
 determinism conventions of the kernel basis; the integer kernels (products,
 ``dot``, ``gram_schmidt``, the fraction-free ``Echelon``) against dense
-``Fraction`` references on large and mixed denominators, and the Fraction-only
-storage the benchmark reads."""
+``Fraction`` references on large and mixed denominators, the cached integer
+rows of a reused operand, and the Fraction-only storage the benchmark reads."""
 
 import ast
 import random
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from cosimplex.fixtures import random_rational_rotation
 from cosimplex.linalg import (
     Matrix,
+    _ints,
     dot,
     fixed_vectors,
     gram_schmidt,
@@ -346,6 +347,45 @@ def test_products_and_dot_equal_the_dense_fraction_reference(data):
     assert dot(u, v) == sum((a * b for a, b in zip(u, v)), F(0))
     assert dot(u, v) == dot(v, u)
     assert all(type(x) is Fraction for x in entries(AB) + list(A * u) + [dot(u, v)])
+
+
+def dense_rows(M):
+    return [list(M.row(i)) for i in range(M.nrows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes.flatmap(lambda s: st.tuples(
+    wide_matrices(s[0], s[1]),
+    wide_matrices(s[1], s[2]),
+    wide_matrices(s[2], s[0]),
+    st.lists(wide, min_size=s[1], max_size=s[1]).map(tuple),
+)))
+def test_cached_integer_rows_stay_equal_to_the_stored_rows(data):
+    """A matrix used again and again as left operand, right operand and in
+    matrix-vector products keeps its rows, fills its cached integer form
+    once, and every product still equals the dense Fraction reference."""
+    dense, B, A, u = data
+    # built as zeros plus entry writes, the path that writes rows in place
+    M = Matrix.from_entries(dense.nrows, dense.ncols, {
+        (i, j): x for i, row in enumerate(dense_rows(dense)) for j, x in enumerate(row) if x
+    })
+    rows = dense_rows(M)
+    assert rows == dense_rows(dense) and M._int_rows is None
+    ref = {"MB": ref_product(M, B), "AM": ref_product(A, M), "BA": ref_product(B, A)}
+    ref_Mu = tuple(sum((a * b for a, b in zip(row, u)), F(0)) for row in rows)
+    cached = None
+    for _ in range(3):
+        products = {"MB": M * B, "AM": A * M, "BA": B * A}
+        Mu = M * u
+        if cached is None:
+            cached = M._int_rows
+        assert M._int_rows is cached
+        assert cached == [_ints(row) for row in rows]
+        assert dense_rows(M) == rows
+        assert {k: dense_rows(P) for k, P in products.items()} == ref
+        assert Mu == ref_Mu
+        read = [x for P in products.values() for x in entries(P)] + list(Mu)
+        assert all(type(x) is Fraction for x in read)
 
 
 def ref_gram_schmidt(vectors):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cosimplex import spread
 from cosimplex.errors import NotSpreadableError, PreconditionError
 from cosimplex.fixtures import ell2_family, ell2_tower, prototypical
 from cosimplex.linalg import Matrix, primitive
@@ -210,6 +211,28 @@ def test_theorem_C_projection_case():
     report = check_theorem_C(fam)
     assert report.ok
     assert report.saturated and report.projection_when_saturated
+
+
+def test_each_fixed_projection_is_computed_once_per_call(monkeypatch):
+    seen = []
+    compute = spread._fixed_projection
+
+    def counted(A):
+        seen.append(A)
+        return compute(A)
+
+    monkeypatch.setattr(spread, "_fixed_projection", counted)
+    fam = from_contraction(diag(1, 0), 4)
+    shifts = fam.ambient_shifts
+    operator_angle(fam)
+    assert len(seen) == 1 and seen[0] is shifts[0]
+    seen.clear()
+    # shift 0 once, then each higher shift once in the saturation test
+    assert check_theorem_C(fam).saturated
+    assert len(seen) == len(shifts) and all(a is b for a, b in zip(seen, shifts))
+    seen.clear()
+    assert check_complete_invariant(fam, from_contraction(diag(0, 1), 4)).equivalent
+    assert seen == []
 
 
 # -- complete invariant ------------------------------------------------------------------------------
