@@ -116,6 +116,8 @@ def cmd_scs_gen(args) -> int:
 def cmd_scs_cohomology(args) -> int:
     from . import cohomology as coh
     structure = _load_scs(args.file)
+    if args.level is not None and not -1 <= args.level <= structure.max_level:
+        raise FormatError(f"--level {args.level} is outside -1..{structure.max_level}")
     cx = coh.build_complex(structure)
     report = coh.cohomology(cx)
     payload = report.to_dict()
@@ -275,6 +277,8 @@ def cmd_spread_from_c(args) -> int:
     from . import spread
     if args.n < 0:
         raise FormatError(f"spread from-c: -n must be >= 0, got {args.n}")
+    if args.scalar == "float" and args.output:
+        raise FormatError("spread from-c: -o does not apply to --scalar float, whose report goes to stdout")
     C = _parse_contraction(args.file)
     if args.scalar == "float":
         import numpy as np

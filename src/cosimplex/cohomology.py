@@ -35,14 +35,14 @@ from .scs import CheckReport, TruncatedSCS
 
 @dataclass
 class CochainComplex:
-    """Coboundary matrices of a truncated structure.
+    """Coboundary matrices of a truncated structure of level ``max_level`` (N).
 
     bases[n] is the ordered element basis of the level-n cochain space
     (elements of level <= n, sorted by level then id); matrices[n] is d^n as a
     matrix from bases[n] to bases[n+1], for n = -1..N-1.
     """
 
-    scs: TruncatedSCS
+    max_level: int
     bases: dict
     matrices: dict
 
@@ -89,7 +89,7 @@ def build_complex(scs: TruncatedSCS) -> CochainComplex:
         cols = columns.pop(n)
         entries = {(r, c): a for c, col in enumerate(cols) for r, a in col.items() if a}
         matrices[n] = Matrix.from_entries(len(bases[n + 1]), len(cols), entries)
-    return CochainComplex(scs, bases, matrices)
+    return CochainComplex(N, bases, matrices)
 
 
 def extended_coboundary(scs: TruncatedSCS, n: int, vec: dict) -> dict:
@@ -144,7 +144,7 @@ def _basis_vectors(mat: Matrix):
 
 def cohomology(cx: CochainComplex) -> CohomologyReport:
     """Exact cocycle/coboundary/cohomology dimensions with rational bases."""
-    N = cx.scs.max_level
+    N = cx.max_level
     levels = []
     caveats = []
     for k in range(-1, N + 1):
@@ -250,25 +250,18 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
     cx = build_complex(scs)
     report = CheckReport()
 
-    def embed(vec_cols, src_level, dst_level):
-        """Coefficient vectors over basis(src) written over basis(dst)."""
-        src = cx.basis(src_level)
-        dst = cx.basis(dst_level)
-        index = {x: r for r, x in enumerate(dst)}
-        out = []
-        for col in vec_cols:
-            v = [Fraction(0)] * len(dst)
-            for x, c in zip(src, col):
-                v[index[x]] = c
-            out.append(tuple(v))
-        return out
+    def embed(vec_cols, dst_level):
+        """Coefficient vectors over a lower basis written over basis(dst): the
+        bases are level-ordered, so each lower basis is a prefix of the next."""
+        size = len(cx.basis(dst_level))
+        return [tuple(col) + (Fraction(0),) * (size - len(col)) for col in vec_cols]
 
     cocycles = {k: cx.coboundary(k).kernel().columns() for k in range(0, N)}
     for k in range(0, N):
         Z_k = cocycles[k]
         B_k = cx.coboundary(k - 1).column_space_basis().columns()
         # the lower cochain space sits inside the level-k one on coordinates
-        lower_cols = embed(Matrix.identity(len(cx.basis(k - 1))).columns(), k - 1, k)
+        lower_cols = embed(Matrix.identity(len(cx.basis(k - 1))).columns(), k)
         zc = subspace_intersection(Z_k, lower_cols)
         bc = subspace_intersection(B_k, lower_cols)
         report.record(
@@ -308,9 +301,9 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
 
     # cocycles two levels up restrict to the same cocycles
     for k in range(0, N - 2):
-        lower_cols = embed(Matrix.identity(len(cx.basis(k))).columns(), k, k + 2)
+        lower_cols = embed(Matrix.identity(len(cx.basis(k))).columns(), k + 2)
         meet = subspace_intersection(cocycles[k + 2], lower_cols)
-        lifted = embed(cocycles[k], k, k + 2)
+        lifted = embed(cocycles[k], k + 2)
         report.record("cocycle-stability-two-up", {"level": k}, subspace_equal(meet, lifted))
 
     return report

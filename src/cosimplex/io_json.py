@@ -46,11 +46,12 @@ def matrix_from_json(data, ncols=None) -> Matrix:
     return mat
 
 
-def _max_level(data) -> int:
-    N = int(data["max_level"])
-    if N < -1:
-        raise FormatError(f"max_level {N} is below -1")
-    return N
+def _at_least(data, key, low) -> int:
+    """The integer ``data[key]``, which must be at least ``low``."""
+    n = int(data[key])
+    if n < low:
+        raise FormatError(f"{key} {n} is below {low}")
+    return n
 
 
 def _sized(data, nrows, ncols, what) -> Matrix:
@@ -84,7 +85,7 @@ def scs_to_dict(scs: TruncatedSCS) -> dict:
 def scs_from_dict(data: dict) -> TruncatedSCS:
     from .scs import TruncatedSCS
     try:
-        N = _max_level(data)
+        N = _at_least(data, "max_level", -1)
         levels = {}
         names = {}
         for entry in data["elements"]:
@@ -154,8 +155,8 @@ def tower_from_dict(data: dict) -> HilbertTower:
     from .linalg import Matrix
     from .tower import HilbertTower
     try:
-        N = _max_level(data)
-        dim = int(data["ambient_dim"])
+        N = _at_least(data, "max_level", -1)
+        dim = _at_least(data, "ambient_dim", 0)
         by_level = {}
         for entry in data["levels"]:
             k = int(entry["level"])
@@ -204,6 +205,10 @@ def tower_from_dict(data: dict) -> HilbertTower:
             raise FormatError(f"missing shift blocks {missing}")
         shifts = [shifts[i] for i in range(n_shifts)]
         names = data.get("coordinate_names")
+        if names is not None and not (
+            isinstance(names, list) and len(names) == dim and all(isinstance(x, str) for x in names)
+        ):
+            raise FormatError(f"coordinate_names must be a list of {dim} strings")
         return HilbertTower(N, dim, level_bases, shifts, names)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"bad tower payload: {exc}") from None
@@ -229,8 +234,8 @@ def family_to_dict(family: SpreadableFamily) -> dict:
 def family_from_dict(data: dict) -> SpreadableFamily:
     from .spread import SpreadableFamily
     try:
-        k = int(data["k_dim"])
-        dim = int(data["ambient_dim"])
+        k = _at_least(data, "k_dim", 0)
+        dim = _at_least(data, "ambient_dim", 0)
         isometries = [_sized(m, dim, k, f"isometry {n}") for n, m in enumerate(data["isometries"])]
         gram = _sized(data["gram"], k, k, "gram") if "gram" in data else None
         shifts = None

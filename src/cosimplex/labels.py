@@ -237,7 +237,7 @@ def insertion_sequence(source: Label, target: Label):
     positions is the deterministic one that finishes each gap coordinate from
     the highest down.
     """
-    morphism = LambdaMorphism(source, target)  # validates existence
+    LambdaMorphism(source, target)  # validates existence
     seq = []
     cur = list(source.support)
     tgt = target.upsilon()
@@ -252,7 +252,6 @@ def insertion_sequence(source: Label, target: Label):
             seq.append(i)
     if cur != list(target.support):
         raise InternalInconsistencyError(f"insertion sequence failed for {source} -> {target}")
-    del morphism
     return seq
 
 

@@ -105,8 +105,8 @@ def root_elements(scs: TruncatedSCS) -> frozenset:
     )
 
 
-def labeled_subsets(scs: TruncatedSCS, max_level: int | None = None) -> dict:
-    """The labeled subsets, keyed by label, up to the given level.
+def labeled_subsets(scs: TruncatedSCS) -> dict:
+    """The labeled subsets, keyed by label.
 
     Level-k roots form the subset of the root label of rank k+1; every other
     labeled subset is the shift image of a root subset along the unique chain
@@ -114,19 +114,17 @@ def labeled_subsets(scs: TruncatedSCS, max_level: int | None = None) -> dict:
     partition the elements exactly when the structure is normal.
     """
     N = scs.max_level
-    if max_level is None:
-        max_level = N
     roots = root_elements(scs)
     roots_at = {}
     for y in roots:
         roots_at.setdefault(scs.levels[y], set()).add(y)
     out = {}
     for k in sorted(roots_at):
-        if k > max_level:
+        if k > N:
             continue
         root_label = Label([1] * (k + 1))
         out[root_label] = frozenset(roots_at[k])
-        for lab in enumerate_labels(max_level, rank=k + 1):
+        for lab in enumerate_labels(N, rank=k + 1):
             if lab == root_label:
                 continue
             word = insertion_sequence(root_label, lab)
@@ -274,7 +272,11 @@ def minimal_normal_extension(scs: TruncatedSCS) -> ExtensionResult:
     Classes whose labels or equivalences are truncation-undecidable raise
     ``TruncationError``.
     """
-    part = equivalence_classes(scs)
+    return _extension(scs, equivalence_classes(scs))
+
+
+def _extension(scs: TruncatedSCS, part: ClassPartition) -> ExtensionResult:
+    """``minimal_normal_extension`` from the class partition of ``scs``."""
     if part.table.unknown:
         raise TruncationError(
             "normal labels undecidable for: "
@@ -376,7 +378,7 @@ def classify(scs: TruncatedSCS) -> SCSInvariant:
     if not report.ok:
         raise InvalidStructureError(f"classify needs a valid structure: {report.to_dict()}")
     part = equivalence_classes(scs)
-    ext = minimal_normal_extension(scs)
+    ext = _extension(scs, part)
     roots = root_elements(scs)
     layers = []
     for idx, cls in enumerate(part.classes):

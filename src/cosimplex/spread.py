@@ -34,7 +34,7 @@ from .linalg import (
     projection_matrix,
     subspace_leq,
 )
-from .tower import HilbertTower
+from .tower import HilbertTower, intertwines
 
 
 @dataclass
@@ -192,6 +192,11 @@ def _diagonal_roots(C: Matrix) -> list:
 # -- the induced tower -------------------------------------------------------------------
 
 
+def _columns(family: SpreadableFamily) -> list:
+    """The columns of ι_0..ι_N, copy by copy: the family's spanning set."""
+    return [family.iota(n).column(t) for n in range(family.count) for t in range(family.k_dim)]
+
+
 def minimal_sch(family: SpreadableFamily) -> HilbertTower:
     """The tower spanned by the family: H_k = span(ι_0(K)..ι_k(K)), bottom
     level zero, with the shifts moving copy ℓ to copy ℓ+1 from index n up.
@@ -201,42 +206,31 @@ def minimal_sch(family: SpreadableFamily) -> HilbertTower:
     spans means the family was not spreadable.
     """
     N = family.count - 1
+    k = family.k_dim
     ambient = family.ambient_dim
-    cols = [family.iota(k).column(t) for k in range(N + 1) for t in range(family.k_dim)]
+    cols = _columns(family)
     pivots = Matrix.from_columns(cols, nrows=ambient).independent_columns()
     level_bases = [Matrix.zeros(ambient, 0)]
-    for k in range(N + 1):
-        # the first-come independent columns among those of ι_0..ι_k
-        chosen = [cols[p] for p in pivots if p < (k + 1) * family.k_dim]
+    for l in range(N + 1):
+        # the first-come independent columns among those of ι_0..ι_l
+        chosen = [cols[p] for p in pivots if p < (l + 1) * k]
         level_bases.append(Matrix.from_columns(chosen, nrows=ambient))
+    # shift n sends the copies ι_0..ι_{N-1} to ι_0..ι_{n-1}, ι_{n+1}..ι_N
+    S = Matrix.from_columns(cols[: N * k], nrows=ambient)
     shifts = []
     for n in range(N):
-        span_cols = []
-        image_cols = []
-        for l in range(N):
-            for t in range(family.k_dim):
-                span_cols.append(family.iota(l).column(t))
-                target = l if l < n else l + 1
-                image_cols.append(family.iota(target).column(t))
+        images = cols[: n * k] + cols[(n + 1) * k :]
         if family.ambient_shifts is not None:
             A = family.ambient_shifts[n]
         else:
-            A = _solve_operator(span_cols, image_cols, ambient)
-        for src, img in zip(span_cols, image_cols):
-            if A * src != img:
-                raise NotSpreadableError(
-                    f"shift {n} is inconsistent on the span: the family is not spreadable"
-                )
+            T = Matrix.from_columns([images[p] for p in pivots if p < N * k], nrows=ambient)
+            A = partial_isometry(level_bases[N], T)
+        if A * S != Matrix.from_columns(images, nrows=ambient):
+            raise NotSpreadableError(
+                f"shift {n} is inconsistent on the span: the family is not spreadable"
+            )
         shifts.append(A)
     return HilbertTower(N, ambient, level_bases, shifts)
-
-
-def _solve_operator(span_cols, image_cols, ambient) -> Matrix:
-    """Matrix agreeing with src -> img on the span (zero on its complement)."""
-    sel = Matrix.from_columns(span_cols, nrows=ambient).independent_columns()
-    S = Matrix.from_columns([span_cols[i] for i in sel], nrows=ambient)
-    T = Matrix.from_columns([image_cols[i] for i in sel], nrows=ambient)
-    return partial_isometry(S, T)
 
 
 def roundtrip_from_sch(tower: HilbertTower) -> SpreadableFamily:
@@ -337,16 +331,11 @@ def _generated_saturated(family: SpreadableFamily, tower: HilbertTower, Q0: Matr
     then serves as the level -1 space) and the fixed space of every higher
     shift n lies inside level n-1.
     """
-    span_cols = [
-        family.iota(n).column(t)
-        for n in range(family.count)
-        for t in range(family.k_dim)
-    ]
+    top = tower.basis(tower.max_level)
     for n in range(0, tower.max_level):
         Q = Q0 if n == 0 else _fixed_projection(family.ambient_shifts[n])
-        effective_fixed = [Q * col for col in span_cols]
         bound = tower.basis(max(n - 1, 0)).columns()
-        if not subspace_leq(effective_fixed, bound):
+        if not subspace_leq((Q * top).columns(), bound):
             return False
     return True
 
@@ -397,25 +386,22 @@ def check_complete_invariant(fam_a: SpreadableFamily, fam_b: SpreadableFamily) -
 def _verify_identity_intertwiner(fam_a, fam_b) -> bool:
     """Map ι_n^A e_t -> ι_n^B e_t; well-defined and shift-intertwining when
     the full spanning Grams coincide."""
-    cols_a = [fam_a.iota(n).column(t) for n in range(fam_a.count) for t in range(fam_a.k_dim)]
-    cols_b = [fam_b.iota(n).column(t) for n in range(fam_b.count) for t in range(fam_b.k_dim)]
     if fam_a.count != fam_b.count:
         return False
+    cols_a, cols_b = _columns(fam_a), _columns(fam_b)
     Sa = Matrix.from_columns(cols_a, nrows=fam_a.ambient_dim)
     Sb = Matrix.from_columns(cols_b, nrows=fam_b.ambient_dim)
     if Sa.transpose() * Sa != Sb.transpose() * Sb:
         return False
-    U = _solve_operator(cols_a, cols_b, fam_b.ambient_dim) if fam_a.ambient_dim == fam_b.ambient_dim else None
-    if U is None:
+    if fam_a.ambient_dim != fam_b.ambient_dim:
         # different ambients: the Gram equality already certifies the unitary
         return True
-    ta = minimal_sch(fam_a)
-    tb = minimal_sch(fam_b)
-    dom = ta.basis(ta.max_level - 1)
-    for n in range(ta.max_level):
-        if U * (ta.alpha(n) * dom) != tb.alpha(n) * (U * dom):
-            return False
-    return True
+    sel = Sa.independent_columns()
+    U = partial_isometry(
+        Matrix.from_columns([cols_a[j] for j in sel], nrows=fam_a.ambient_dim),
+        Matrix.from_columns([cols_b[j] for j in sel], nrows=fam_b.ambient_dim),
+    )
+    return intertwines(U, minimal_sch(fam_a), minimal_sch(fam_b))
 
 
 # -- floating path ----------------------------------------------------------------------------

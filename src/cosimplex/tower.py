@@ -172,12 +172,6 @@ def fixed_space(tower: HilbertTower, n: int):
     return span_basis(vectors), flag
 
 
-def fixed_projection(tower: HilbertTower, n: int) -> Matrix:
-    """Orthogonal projection onto the fixed space of α_n (exact)."""
-    basis, _ = fixed_space(tower, n)
-    return projection_matrix(basis, tower.ambient_dim)
-
-
 # -- saturation dictionary at the matrix level ---------------------------------------
 
 
@@ -205,8 +199,8 @@ def check_toy_definetti(tower: HilbertTower) -> CheckReport:
         # single top shift forces all lower ones (exactly decidable per level)
         top = subspace_leq([tower.alpha(n) * v for v in innov[n]], innov[n + 1])
         report.record("one-for-all", {"n": n}, (not top) or ok)
-    for n in range(0, N):
-        fix, flag = fixed_space(tower, n)
+    fixed = [fixed_space(tower, n) for n in range(0, N)]
+    for n, (fix, flag) in enumerate(fixed):
         sat = subspace_equal(fix, tower.basis(n - 1).columns())
         report.record(  # informational
             "saturated-at-level",
@@ -232,7 +226,7 @@ def check_toy_definetti(tower: HilbertTower) -> CheckReport:
     # commutes past lower shifts one level down, tested on H_{N-2}
     if N >= 2:
         dom = tower.basis(N - 2)
-        projections = {m: fixed_projection(tower, m) for m in range(0, N)}
+        projections = [projection_matrix(fix, tower.ambient_dim) for fix, _ in fixed]
         for n in range(0, N - 1):
             for i in range(0, n + 1):
                 left = projections[n + 1] * (tower.alpha(i) * dom)
@@ -262,13 +256,13 @@ def _root_space(tower: HilbertTower, k: int, innov_k: list, innov_prev: list) ->
     return orthogonal_complement_within(shifted, innov_k)
 
 
-def _label_images(tower: HilbertTower, k: int, vectors, max_level: int):
-    """(label, images) for each rank-(k+1) label up to ``max_level``, in
+def _label_images(tower: HilbertTower, k: int, vectors):
+    """(label, images) for each rank-(k+1) label of the tower, in
     ``enumerate_labels`` order, so the root label comes first: the level-k
     root ``vectors`` carried along the insertion sequence from the root
     label, first shift first."""
     root_label = Label([1] * (k + 1))
-    for lab in enumerate_labels(max_level, rank=k + 1):
+    for lab in enumerate_labels(tower.max_level, rank=k + 1):
         images = vectors
         for i in insertion_sequence(root_label, lab):
             shift = tower.alpha(i)
@@ -276,7 +270,7 @@ def _label_images(tower: HilbertTower, k: int, vectors, max_level: int):
         yield lab, images
 
 
-def labeled_subspaces(tower: HilbertTower, max_level: int | None = None, innov: dict | None = None) -> dict:
+def labeled_subspaces(tower: HilbertTower, innov: dict | None = None) -> dict:
     """Label -> basis (list of ambient vectors) of the labeled subspace.
 
     Root spaces are cut out by orthogonality inside each innovation; every
@@ -285,21 +279,15 @@ def labeled_subspaces(tower: HilbertTower, max_level: int | None = None, innov: 
     ``innov`` may pass in the innovation bases by level, if already built.
     """
     N = tower.max_level
-    if max_level is None:
-        max_level = N
     out = {}
-    roots = {}
-    top = min(max_level, N)
     if innov is None:
-        innov = {k: innovation_basis(tower, k) for k in range(-1, top + 1)}
-    for k in range(-1, top + 1):
+        innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
+    for k in range(-1, N + 1):
         basis = _root_space(tower, k, innov[k], innov.get(k - 1, []))
         if basis:
-            roots[k] = basis
-    for k, basis in roots.items():
-        out.update(_label_images(tower, k, basis, max_level))
+            out.update(_label_images(tower, k, basis))
     # every level is spanned by its labeled subspaces
-    for k in range(-1, top + 1):
+    for k in range(-1, N + 1):
         spanned = [v for lab, vs in out.items() if lab.level <= k for v in vs]
         if not subspace_leq(tower.basis(k).columns(), spanned):
             raise InvalidStructureError(
@@ -547,7 +535,7 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
                 {"m": m, "n": n},
                 data.u(m) * data.u(n) == data.u(n) * data.u(m),
             )
-    for k in range(0, N):
+    for k in range(0, min(N, M)):
         img = (data.u(k + 1) * tower.basis(k)).columns()
         report.record(
             "step-containment",
@@ -639,14 +627,15 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
                     name = "relation-high"
                 report.record(name, {"j": j, "i": i}, lhs == rhs)
 
-    # fixed space of alpha_n = joint fixed space of the generators above n
+    # fixed space of alpha_n = joint fixed space J_n of the generators above
+    # n, built downward: J_n = Fix(u_{n+1}) ∩ J_{n+1} from J_M = H_{N-1}
+    joint = [tower.basis(N - 1).columns()] * (max(N, M) + 1)
+    for n in range(M - 1, -1, -1):
+        B = Matrix.from_columns(span_basis(joint[n + 1]), nrows=tower.ambient_dim)
+        joint[n] = fixed_vectors(data.u(n + 1), B)
     for n in range(0, N):
         fix, _ = fixed_space(tower, n)
-        joint = tower.basis(N - 1).columns()
-        for m in range(n + 1, M + 1):
-            B = Matrix.from_columns(span_basis(joint), nrows=tower.ambient_dim)
-            joint = fixed_vectors(data.u(m), B)
-        report.record("fixed-space-joint", {"n": n}, subspace_equal(fix, joint))
+        report.record("fixed-space-joint", {"n": n}, subspace_equal(fix, joint[n]))
     return report
 
 
@@ -666,8 +655,6 @@ def check_adjoint_intertwining(data: HessenbergData) -> CheckReport:
             raise PreconditionError("adjoint intertwining check needs a saturated tower")
     top = tower.basis(N)
     for j in range(1, data.count):
-        if j + 1 > data.count:
-            continue
         for i in range(0, min(j, N)):
             adjoint = tower.alpha(i).transpose()
             lhs = adjoint * (data.u(j + 1) * top)
@@ -700,6 +687,14 @@ def root_dimension_sequence(tower: HilbertTower) -> tuple:
     return tuple(len(root_space(tower, k)) for k in range(-1, tower.max_level + 1))
 
 
+def intertwines(U: Matrix, a: HilbertTower, b: HilbertTower) -> bool:
+    """Whether U α_i = α_i' U on H_{N-1} of ``a`` for every shift α_i of
+    ``a`` and α_i' of ``b``."""
+    dom = a.basis(a.max_level - 1)
+    U_dom = U * dom
+    return all(U * (a.alpha(i) * dom) == b.alpha(i) * U_dom for i in range(max(0, a.max_level)))
+
+
 def unitary_equivalence(a: HilbertTower, b: HilbertTower) -> EquivalenceResult:
     """Decide unitary equivalence of two normal towers by their root
     dimension sequences; when equal, build the intertwiner from adapted
@@ -711,28 +706,31 @@ def unitary_equivalence(a: HilbertTower, b: HilbertTower) -> EquivalenceResult:
     """
     if a.max_level != b.max_level:
         raise ValueError("compare towers at the same truncation level")
+    N = a.max_level
+    roots = []  # per tower, the level-k root space at index k + 1
     for t in (a, b):
-        rep = check_normal(t, details=False)
+        rep, subspaces = _check_normal(t, details=False)
         if not rep.normal:
             raise NotNormalError("unitary equivalence classification needs normal towers")
+        # the root label of rank k + 1 holds the level-k root space
+        roots.append([subspaces.get(Label([1] * (k + 1)), []) for k in range(-1, N + 1)])
     for t in (a, b):
         if t.dim(t.max_level) != t.ambient_dim:
             raise PreconditionError(
                 "intertwiner construction needs the ambient to equal the top level"
             )
-    da = root_dimension_sequence(a)
-    db = root_dimension_sequence(b)
+    roots_a, roots_b = roots
+    da, db = tuple(map(len, roots_a)), tuple(map(len, roots_b))
     if da != db:
         return EquivalenceResult(False, da, db, None, False)
-    N = a.max_level
     cols_a = []
     cols_b = []
     for k in range(-1, N + 1):
-        ra = try_orthonormal_basis(root_space(a, k))
-        rb = try_orthonormal_basis(root_space(b, k))
+        ra = try_orthonormal_basis(roots_a[k + 1])
+        rb = try_orthonormal_basis(roots_b[k + 1])
         if ra is None or rb is None:
             return EquivalenceResult(True, da, db, None, False)
-        pairs = zip(_label_images(a, k, ra, N), _label_images(b, k, rb, N))
+        pairs = zip(_label_images(a, k, ra), _label_images(b, k, rb))
         for (_, images_a), (_, images_b) in pairs:
             cols_a.extend(images_a)
             cols_b.extend(images_b)
@@ -740,18 +738,14 @@ def unitary_equivalence(a: HilbertTower, b: HilbertTower) -> EquivalenceResult:
     B = Matrix.from_columns(cols_b, nrows=b.ambient_dim)
     # U maps the adapted basis of a to that of b: U A = B, with A orthonormal
     U = B * A.transpose()
-    verified = True
-    if U.transpose() * U != Matrix.identity(a.ambient_dim):
-        verified = False
-    for k in range(-1, N + 1):
-        if not subspace_equal(
-            (U * a.basis(k)).columns(), b.basis(k).columns()
-        ):
-            verified = False
-    dom = a.basis(N - 1)
-    for i in range(0, max(0, N)):
-        if (U * (a.alpha(i) * dom)) != (b.alpha(i) * (U * dom)):
-            verified = False
+    verified = (
+        U.transpose() * U == Matrix.identity(a.ambient_dim)
+        and all(
+            subspace_equal((U * a.basis(k)).columns(), b.basis(k).columns())
+            for k in range(-1, N + 1)
+        )
+        and intertwines(U, a, b)
+    )
     if not verified:
         raise InternalInconsistencyError("constructed intertwiner failed verification")
     return EquivalenceResult(True, da, db, U, True)

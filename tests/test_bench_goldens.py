@@ -7,7 +7,9 @@ here before a benchmark run.  ``integer`` and ``rational`` run twice in this
 process, as the benchmark's passes do, so state that survives a pass and
 goes stale shows too; each ``cli`` job runs ``python -m cosimplex.cli`` once
 in a fresh process, which also catches an import cycle or a missing import
-that only a cold start shows.  The benchmark module is loaded from its file
+that only a cold start shows.  Seeds beyond the default have no goldens; their
+``integer`` and ``rational`` jobs must pass their own checks and give the
+same digests in both passes.  The benchmark module is loaded from its file
 without writing anything under ``bench/``.
 """
 
@@ -69,3 +71,19 @@ def test_default_seed_jobs_match_the_golden_digests(workloads, workload, tmp_pat
             results = job.run()
             assert job.check(results) == [], job.key
             assert workloads.digest(job.encode(results)) == table[job.key], job.key
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["integer", "rational"])
+def test_other_seeds_pass_their_checks_with_the_same_digests_twice(workloads, workload, seed):
+    jobs = workloads.make_jobs(workload, seed)
+    first = []
+    for attempt in range(2):
+        for idx, job in enumerate(jobs):
+            results = job.run()
+            assert job.check(results) == [], job.key
+            digest = workloads.digest(job.encode(results))
+            if attempt == 0:
+                first.append(digest)
+            else:
+                assert digest == first[idx], job.key

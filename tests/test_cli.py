@@ -422,6 +422,69 @@ def test_negative_size_arguments_are_code_2(tmp_path, capsys, argv, message):
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("level", ["99", "5", "-2", "-5"])
+def test_cohomology_level_outside_the_structure_is_code_2(tmp_path, capsys, level):
+    path = write(tmp_path, "scs.json", scs_to_dict(prototypical(4)))
+    code, out, err = run(capsys, "scs", "cohomology", path, "--level", level)
+    assert (code, out, err) == (2, "", f"input error: --level {level} is outside -1..4\n")
+
+
+@pytest.mark.parametrize("level", [-1, 4])
+def test_cohomology_level_at_either_end_is_reported(tmp_path, capsys, level):
+    path = write(tmp_path, "scs.json", scs_to_dict(prototypical(4)))
+    code, out, _ = run(capsys, "scs", "cohomology", path, "--level", str(level))
+    assert code == 0
+    assert [entry["level"] for entry in json.loads(out)["levels"]] == [level]
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        (["spread", "angle"], {"k_dim": -1, "ambient_dim": 0, "isometries": [[], []]}, "k_dim -1 is below 0"),
+        (["spread", "minsch"], {"k_dim": 1, "ambient_dim": -3, "isometries": []}, "ambient_dim -3 is below 0"),
+        (
+            ["tower", "check"],
+            {"max_level": -1, "ambient_dim": -2, "levels": [{"level": -1, "basis_indices": []}]},
+            "ambient_dim -2 is below 0",
+        ),
+    ],
+)
+def test_negative_sizes_in_a_file_are_code_2(tmp_path, capsys, argv, payload, message):
+    code, out, err = run(capsys, *argv, write(tmp_path, "input.json", payload))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("names", ["abc", [1], ["a", "b"], ["a", "b", 3], {"0": "a"}])
+def test_malformed_coordinate_names_are_code_2(tmp_path, capsys, names):
+    payload = tower_to_dict(from_scs(prototypical(2)))
+    payload["coordinate_names"] = names
+    path = write(tmp_path, "tower.json", payload)
+    for command in ("check", "labels", "normal"):
+        code, out, err = run(capsys, "tower", command, path)
+        assert (code, out, err) == (2, "", "input error: coordinate_names must be a list of 3 strings\n")
+
+
+# Runs the CLI on argv and prints its exit code, its stderr and whether numpy
+# was loaded, as JSON.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from cosimplex.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+print(json.dumps([code, err.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+def test_float_lane_with_an_output_file_is_code_2_before_numpy_loads(tmp_path):
+    path = write(tmp_path, "c.json", [["9/25"]])
+    target = tmp_path / "family.json"
+    argv = ["--scalar", "float", "spread", "from-c", path, "-n", "3", "-o", str(target)]
+    message = "spread from-c: -o does not apply to --scalar float, whose report goes to stdout"
+    assert json.loads(_fresh_python(_NUMPY_PROBE, *argv)) == [2, f"input error: {message}\n", False]
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("name", ["prototypical", "example2"])
 def test_set_level_fixtures_at_level_minus_one_are_empty(capsys, name):
     code, out, err = run(capsys, "fixture", name, "-N", "-1")

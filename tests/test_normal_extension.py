@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cosimplex import normal_ext
 from cosimplex.errors import InvalidStructureError, TruncationError
 from cosimplex.fixtures import (
     example2_scs,
@@ -358,3 +359,17 @@ def test_inferred_label_below_the_top_level_is_undeterminable():
     assert saturate(scs, strict=False).levels == {0: 0, 1: 2}
     with pytest.raises(TruncationError):
         saturate(scs)
+
+
+def test_classify_builds_the_class_partition_once(monkeypatch):
+    calls = []
+    compute = normal_ext.equivalence_classes
+
+    def counted(scs):
+        calls.append(scs)
+        return compute(scs)
+
+    monkeypatch.setattr(normal_ext, "equivalence_classes", counted)
+    structure = figure2_scs()
+    assert classify(structure).multiplicities() == {2: 1}
+    assert calls == [structure]

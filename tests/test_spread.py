@@ -176,6 +176,18 @@ def test_minimal_sch_rejects_inconsistent_dependent_family():
         minimal_sch(broken)
 
 
+def test_minimal_sch_reports_the_first_inconsistent_shift():
+    fam = from_contraction(diag(F(9, 25)), 3)
+    identity = Matrix.identity(fam.ambient_dim)
+    for broken, first in (([1], 1), ([2, 1], 1), ([0, 2], 0)):
+        shifts = list(fam.ambient_shifts)
+        for n in broken:
+            shifts[n] = identity
+        family = SpreadableFamily(1, fam.ambient_dim, fam.isometries, fam.gram, shifts)
+        with pytest.raises(NotSpreadableError, match=f"shift {first} is inconsistent"):
+            minimal_sch(family)
+
+
 # -- conditional orthogonality ------------------------------------------------------------------
 
 

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from cosimplex.errors import NotNormalError
+from cosimplex import tower as tower_mod
 from cosimplex.fixtures import (
     example2_scs,
     figure2_scs,
     identity_shift_tower,
+    layer_minus_root_scs,
     layered_scs,
     prototypical,
     random_rational_rotation,
@@ -18,7 +20,7 @@ from cosimplex.fixtures import (
     rotate_tower,
 )
 from cosimplex.labels import Label
-from cosimplex.linalg import Matrix, subspace_equal
+from cosimplex.linalg import Matrix, fixed_vectors, span_basis, subspace_equal
 from cosimplex.normal_ext import is_normal_scs
 from cosimplex.scs import TruncatedSCS, disjoint_union, from_ell
 from cosimplex.tower import (
@@ -32,6 +34,7 @@ from cosimplex.tower import (
     fixed_space,
     from_scs,
     innovation_basis,
+    intertwines,
     labeled_subspaces,
     permutation_unitary,
     root_dimension_sequence,
@@ -364,3 +367,83 @@ def test_generators_permute_labeled_subspaces():
             target = lab.transpose(j)
             image = [data.u(j) * v for v in vs]
             assert subspace_equal(image, subs[target]), (str(lab), j)
+
+
+# -- one build of each intermediate per call ----------------------------------------------------
+
+
+def test_toy_definetti_computes_each_fixed_space_once(monkeypatch):
+    calls = []
+    compute = tower_mod.fixed_space
+
+    def counted(tower, n):
+        calls.append(n)
+        return compute(tower, n)
+
+    monkeypatch.setattr(tower_mod, "fixed_space", counted)
+    tower = from_scs(layered_scs([1, 1, 1], 4))
+    assert check_toy_definetti(tower).ok
+    assert sorted(calls) == list(range(tower.max_level))
+
+
+def _joint_fixed_upward(data, n):
+    """Fixed vectors of u_{n+1}, then of u_{n+2}, ... up to u_M, inside
+    H_{N-1}: the joint fixed space intersected from the bottom generator up."""
+    tower = data.tower
+    joint = tower.basis(tower.max_level - 1).columns()
+    for m in range(n + 1, data.count + 1):
+        B = Matrix.from_columns(span_basis(joint), nrows=tower.ambient_dim)
+        joint = fixed_vectors(data.u(m), B)
+    return joint
+
+
+@pytest.mark.parametrize("scs", [prototypical(4), layered_scs([1, 1, 1], 3)])
+def test_hessenberg_joint_fixed_spaces_for_any_number_of_unitaries(scs):
+    tower = from_scs(scs)
+    N = tower.max_level
+    full = build_symmetric_rep(tower)
+    # fewer unitaries than levels, all of them, and a repeated u_1 on top
+    generator_lists = [full.unitaries[:M] for M in range(N + 1)] + [full.unitaries + [full.u(1)]]
+    failed = 0
+    for unitaries in generator_lists:
+        data = HessenbergData(tower, unitaries)
+        joint = [c for c in check_hessenberg(data).checks if c["check"] == "fixed-space-joint"]
+        expected = [
+            subspace_equal(fixed_space(tower, n)[0], _joint_fixed_upward(data, n))
+            for n in range(N)
+        ]
+        assert [(c["n"], c["ok"]) for c in joint] == list(enumerate(expected)), len(unitaries)
+        failed += expected.count(False)
+    # too few generators leave the joint space too large, an extra u_1 makes
+    # it too small: both must fail the check somewhere
+    assert failed
+
+
+# -- rotation oracle ---------------------------------------------------------------------------------
+
+ROTATION_FIXTURES = {
+    "layered [1,1] N=3": lambda: layered_scs([1, 1], 3),
+    "layered [0,1,1] N=3": lambda: layered_scs([0, 1, 1], 3),
+    "layered [1,0,1] N=3": lambda: layered_scs([1, 0, 1], 3),
+    "layered [1,1,1] N=2": lambda: layered_scs([1, 1, 1], 2),
+    "figure2": figure2_scs,
+    "example2 N=4": lambda: example2_scs(4),
+    "layer minus root 2 N=3": lambda: layer_minus_root_scs(2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_FIXTURES))
+def test_rotation_keeps_normality_root_dimensions_and_equivalence(name):
+    tower = from_scs(ROTATION_FIXTURES[name]())
+    rng = random.Random(name)
+    rotated = rotate_tower(tower, random_rational_rotation(tower.ambient_dim, rng))
+    before = check_normal(tower, details=False)
+    after = check_normal(rotated, details=False)
+    assert before.criteria_agree and after.criteria_agree
+    assert after.normal == before.normal
+    assert root_dimension_sequence(rotated) == root_dimension_sequence(tower)
+    if before.normal:
+        result = unitary_equivalence(tower, rotated)
+        assert result.equivalent and result.verified
+        assert result.root_dims_a == result.root_dims_b == root_dimension_sequence(tower)
+        assert intertwines(result.intertwiner, tower, rotated)
