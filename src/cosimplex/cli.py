@@ -6,14 +6,20 @@ included), 3 when a self-check on a computed result fails.  Reports are
 deterministic byte streams for identical inputs (sorted JSON keys, no
 timestamps).
 
-Each command imports the modules it calls, so a process compiles only what
-its command runs; a new command does the same.
+Each subcommand is one row of ``_COMMANDS``: group, name, arguments and
+handler, in the order of the usage text; the parser and the dispatch are
+built from that table.  A command that only loads its operands, runs one
+analysis and emits the report (``_report``) or writes the converted result
+(``_convert``) is a row with no function of its own.  Handlers import the
+modules they call when they run, so a process compiles only what its
+command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import TYPE_CHECKING
 
 from . import io_json
@@ -65,22 +71,34 @@ def _load_family(path: str) -> spread.SpreadableFamily:
     return io_json.family_from_dict(io_json.load_json(path))
 
 
-# -- scs subcommands ----------------------------------------------------------------
+def _call(target: str, *operands):
+    """Run ``module.function`` of this package, importing the module now."""
+    module, function = target.split(".")
+    return getattr(import_module(f".{module}", __package__), function)(*operands)
 
 
-def cmd_scs_validate(args) -> int:
-    from . import scs
-    report = scs.validate(_read_scs(args.file))
-    _emit(args, report.to_dict(), ["valid" if report.ok else "invalid"])
-    return 0 if report.ok else 1
+def _report(target: str, load, exit_field=None, text=None, operands=("file",)):
+    """Handler that loads the operands, runs ``target`` on them and emits its
+    report; it exits 1 when ``exit_field`` of the report is false."""
+
+    def handler(args) -> int:
+        report = _call(target, *(load(getattr(args, name)) for name in operands))
+        _emit(args, report.to_dict(), text(report) if text else None)
+        return 0 if exit_field is None or getattr(report, exit_field) else 1
+    return handler
 
 
-def cmd_scs_saturate(args) -> int:
-    from . import scs
-    structure = _load_scs(args.file)
-    saturated = scs.saturate(structure)
-    _write_or_print(args, io_json.scs_to_dict(saturated))
-    return 0
+def _convert(target: str, load, encode):
+    """Handler that loads the file, runs ``target`` on it and writes ``encode``
+    of the result."""
+
+    def handler(args) -> int:
+        _write_or_print(args, encode(_call(target, load(args.file))))
+        return 0
+    return handler
+
+
+# -- commands with a body of their own ---------------------------------------------------
 
 
 def cmd_scs_innovations(args) -> int:
@@ -91,17 +109,12 @@ def cmd_scs_innovations(args) -> int:
     return 0
 
 
-def cmd_scs_definetti(args) -> int:
-    from . import scs
-    report = scs.check_toy_definetti_scs(_load_scs(args.file))
-    _emit(args, report.to_dict())
-    return 0 if report.ok else 1
-
-
 def cmd_scs_gen(args) -> int:
     from . import scs
     try:
         if args.kind == "prototypical":
+            if args.N is not None:
+                raise ValueError("N does not apply to prototypical")
             structure = scs.prototypical(int(args.arg))
         else:
             values = [int(v) for v in args.arg.split(",")]
@@ -160,27 +173,13 @@ def cmd_scs_labels(args) -> int:
     return 0 if not table.unknown else 1
 
 
-def cmd_scs_extend(args) -> int:
-    from . import normal_ext
-    structure = _load_scs(args.file)
-    result = normal_ext.minimal_normal_extension(structure)
-    payload = io_json.scs_to_dict(result.extension)
-    payload["embedding"] = {str(k): v for k, v in sorted(result.embedding.items())}
-    payload["layer_ranks"] = result.layer_ranks
-    _write_or_print(args, payload)
-    return 0
-
-
-def cmd_scs_classify(args) -> int:
-    from . import normal_ext
-    invariant = normal_ext.classify(_load_scs(args.file))
-    _emit(args, invariant.to_dict())
-    return 0
-
-
 def cmd_scs_isomorphic(args) -> int:
     from . import normal_ext
-    verdict = normal_ext.is_isomorphic(_load_scs(args.a), _load_scs(args.b))
+    a, b = _load_scs(args.a), _load_scs(args.b)
+    try:
+        verdict = normal_ext.is_isomorphic(a, b)
+    except ValueError as exc:
+        raise FormatError(f"scs isomorphic: {exc}") from None
     _emit(args, {"isomorphic": verdict}, ["isomorphic" if verdict else "not isomorphic"])
     return 0 if verdict else 1
 
@@ -189,16 +188,6 @@ def cmd_scs_dot(args) -> int:
     from . import scs
     sys.stdout.write(scs.shift_graph_dot(_load_scs(args.file)))
     return 0
-
-
-# -- tower subcommands ------------------------------------------------------------------
-
-
-def cmd_tower_check(args) -> int:
-    from . import tower
-    report = tower.check_tower(_load_tower(args.file))
-    _emit(args, report.to_dict())
-    return 0 if report.ok else 1
 
 
 def cmd_tower_labels(args) -> int:
@@ -213,54 +202,20 @@ def cmd_tower_labels(args) -> int:
     return 0
 
 
-def cmd_tower_normal(args) -> int:
+def cmd_tower_symrep(args, generators=True) -> int:
+    """The Hessenberg checks of the symmetric representation, under the
+    generators unless ``generators`` is false (``tower hessenberg``)."""
     from . import tower
-    report = tower.check_normal(_load_tower(args.file))
-    _emit(
-        args,
-        report.to_dict(),
-        ["normal" if report.normal else "non-normal", f"criteria agree: {report.criteria_agree}"],
-    )
-    return 0 if report.criteria_agree else 1
-
-
-def cmd_tower_symrep(args) -> int:
-    from . import tower
-    t = _load_tower(args.file)
-    data = tower.build_symmetric_rep(t)
+    data = tower.build_symmetric_rep(_load_tower(args.file))
     report = tower.check_hessenberg(data)
-    payload = {
-        "generators": [io_json.matrix_to_json(u) for u in data.unitaries],
-        "checks": report.to_dict(),
-    }
+    payload = report.to_dict()
+    if generators:
+        payload = {
+            "generators": [io_json.matrix_to_json(u) for u in data.unitaries],
+            "checks": payload,
+        }
     _emit(args, payload)
     return 0 if report.ok else 1
-
-
-def cmd_tower_hessenberg(args) -> int:
-    from . import tower
-    t = _load_tower(args.file)
-    data = tower.build_symmetric_rep(t)
-    report = tower.check_hessenberg(data)
-    _emit(args, report.to_dict())
-    return 0 if report.ok else 1
-
-
-def cmd_tower_definetti(args) -> int:
-    from . import tower
-    report = tower.check_toy_definetti(_load_tower(args.file))
-    _emit(args, report.to_dict())
-    return 0 if report.ok else 1
-
-
-def cmd_tower_from_scs(args) -> int:
-    from . import tower
-    structure = _load_scs(args.file)
-    _write_or_print(args, io_json.tower_to_dict(tower.from_scs(structure)))
-    return 0
-
-
-# -- spreadability subcommands ------------------------------------------------------------------
 
 
 def _parse_contraction(path: str) -> Matrix:
@@ -292,37 +247,6 @@ def cmd_spread_from_c(args) -> int:
     fam = spread.from_contraction(C, args.n)
     _write_or_print(args, io_json.family_to_dict(fam))
     return 0
-
-
-def cmd_spread_angle(args) -> int:
-    from . import spread
-    report = spread.operator_angle(_load_family(args.file))
-    _emit(args, report.to_dict())
-    return 0
-
-
-def cmd_spread_minsch(args) -> int:
-    from . import spread
-    t = spread.minimal_sch(_load_family(args.file))
-    _write_or_print(args, io_json.tower_to_dict(t))
-    return 0
-
-
-def cmd_spread_theorem_c(args) -> int:
-    from . import spread
-    report = spread.check_theorem_C(_load_family(args.file))
-    _emit(args, report.to_dict())
-    return 0 if report.ok else 1
-
-
-def cmd_spread_equiv(args) -> int:
-    from . import spread
-    result = spread.check_complete_invariant(_load_family(args.a), _load_family(args.b))
-    _emit(args, result.to_dict())
-    return 0 if result.equivalent else 1
-
-
-# -- graph and fixtures ------------------------------------------------------------------------------
 
 
 def cmd_graph_dot(args) -> int:
@@ -363,7 +287,81 @@ def cmd_fixture(args) -> int:
     return 0
 
 
-# -- parser ----------------------------------------------------------------------------------------------
+# -- command table ---------------------------------------------------------------------------------------
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_FILE = (_arg("file"),)
+_FILE_OUT = (_arg("file"), _arg("-o", "--output"))
+_PAIR = (_arg("a"), _arg("b"))
+
+_GROUPS = {
+    "scs": "set-level structures",
+    "tower": "inner-product towers",
+    "spread": "spreadable isometry families",
+    "graph": "label skeleton export",
+    "fixture": "emit a built-in example structure",
+}
+
+# One row per subcommand, in the order of the usage text: group, name (None
+# for a group without subcommands), arguments, handler.
+_COMMANDS = (
+    ("scs", "validate", _FILE, _report(
+        "scs.validate", _read_scs, "ok", lambda r: ["valid" if r.ok else "invalid"])),
+    ("scs", "saturate", _FILE_OUT, _convert("scs.saturate", _load_scs, io_json.scs_to_dict)),
+    ("scs", "innovations", _FILE, cmd_scs_innovations),
+    ("scs", "definetti", _FILE, _report("scs.check_toy_definetti_scs", _load_scs, "ok")),
+    ("scs", "labels", _FILE, cmd_scs_labels),
+    ("scs", "extend", _FILE_OUT, _convert(
+        "normal_ext.minimal_normal_extension", _load_scs,
+        lambda result: {**io_json.scs_to_dict(result.extension), **result.to_dict()})),
+    ("scs", "classify", _FILE, _report("normal_ext.classify", _load_scs)),
+    ("scs", "dot", _FILE, cmd_scs_dot),
+    ("scs", "cohomology", (
+        _arg("file"),
+        _arg("--level", type=int),
+        _arg("--basis", action="store_true"),
+        _arg("--explicit", action="store_true"),
+    ), cmd_scs_cohomology),
+    ("scs", "isomorphic", _PAIR, cmd_scs_isomorphic),
+    ("scs", "gen", (
+        _arg("kind", choices=("prototypical", "ell")),
+        _arg("arg", help="truncation level, or comma-separated level function"),
+        _arg("N", nargs="?", help="truncation level for the level function"),
+        _arg("-o", "--output"),
+    ), cmd_scs_gen),
+    ("tower", "check", _FILE, _report("tower.check_tower", _load_tower, "ok")),
+    ("tower", "labels", _FILE, cmd_tower_labels),
+    ("tower", "normal", _FILE, _report(
+        "tower.check_normal", _load_tower, "criteria_agree",
+        lambda r: ["normal" if r.normal else "non-normal", f"criteria agree: {r.criteria_agree}"])),
+    ("tower", "symrep", _FILE, cmd_tower_symrep),
+    ("tower", "hessenberg", _FILE, lambda args: cmd_tower_symrep(args, generators=False)),
+    ("tower", "definetti", _FILE, _report("tower.check_toy_definetti", _load_tower, "ok")),
+    ("tower", "from-scs", _FILE_OUT, _convert("tower.from_scs", _load_scs, io_json.tower_to_dict)),
+    ("spread", "from-c", (
+        _arg("file", help="JSON matrix of the contraction"),
+        _arg("-n", type=int, required=True, help="number of maps minus one"),
+        _arg("-o", "--output"),
+    ), cmd_spread_from_c),
+    ("spread", "angle", _FILE, _report("spread.operator_angle", _load_family)),
+    ("spread", "theoremC", _FILE, _report("spread.check_theorem_C", _load_family, "ok")),
+    ("spread", "minsch", _FILE_OUT, _convert("spread.minimal_sch", _load_family, io_json.tower_to_dict)),
+    ("spread", "equiv", _PAIR, _report(
+        "spread.check_complete_invariant", _load_family, "equivalent", operands=("a", "b"))),
+    ("graph", "dot", (
+        _arg("--rank", type=int, default=2),
+        _arg("--level", type=int, default=4),
+    ), cmd_graph_dot),
+    ("fixture", None, (
+        _arg("name", help="prototypical | example2 | figure2 | ell2"),
+        _arg("-N", type=int, default=None),
+        _arg("-o", "--output"),
+    ), cmd_fixture),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,100 +374,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scalar", choices=("exact", "float"), default="exact")
     parser.add_argument("--tol", type=float, default=1e-10, help="float-mode tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_scs = sub.add_parser("scs", help="set-level structures")
-    scs_sub = p_scs.add_subparsers(dest="subcommand", required=True)
-    for name, fn, needs_out in (
-        ("validate", cmd_scs_validate, False),
-        ("saturate", cmd_scs_saturate, True),
-        ("innovations", cmd_scs_innovations, False),
-        ("definetti", cmd_scs_definetti, False),
-        ("labels", cmd_scs_labels, False),
-        ("extend", cmd_scs_extend, True),
-        ("classify", cmd_scs_classify, False),
-        ("dot", cmd_scs_dot, False),
-    ):
-        p = scs_sub.add_parser(name)
-        p.add_argument("file")
-        if needs_out:
-            p.add_argument("-o", "--output")
-        p.set_defaults(func=fn)
-    p = scs_sub.add_parser("cohomology")
-    p.add_argument("file")
-    p.add_argument("--level", type=int)
-    p.add_argument("--basis", action="store_true")
-    p.add_argument("--explicit", action="store_true")
-    p.set_defaults(func=cmd_scs_cohomology)
-    p = scs_sub.add_parser("isomorphic")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_scs_isomorphic)
-    p = scs_sub.add_parser("gen")
-    p.add_argument("kind", choices=("prototypical", "ell"))
-    p.add_argument("arg", help="truncation level, or comma-separated level function")
-    p.add_argument("N", nargs="?", help="truncation level for the level function")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_scs_gen)
-
-    p_tower = sub.add_parser("tower", help="inner-product towers")
-    tower_sub = p_tower.add_subparsers(dest="subcommand", required=True)
-    for name, fn, needs_out in (
-        ("check", cmd_tower_check, False),
-        ("labels", cmd_tower_labels, False),
-        ("normal", cmd_tower_normal, False),
-        ("symrep", cmd_tower_symrep, False),
-        ("hessenberg", cmd_tower_hessenberg, False),
-        ("definetti", cmd_tower_definetti, False),
-        ("from-scs", cmd_tower_from_scs, True),
-    ):
-        p = tower_sub.add_parser(name)
-        p.add_argument("file")
-        if needs_out:
-            p.add_argument("-o", "--output")
-        p.set_defaults(func=fn)
-
-    p_spread = sub.add_parser("spread", help="spreadable isometry families")
-    spread_sub = p_spread.add_subparsers(dest="subcommand", required=True)
-    p = spread_sub.add_parser("from-c")
-    p.add_argument("file", help="JSON matrix of the contraction")
-    p.add_argument("-n", type=int, required=True, help="number of maps minus one")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_spread_from_c)
-    for name, fn, needs_out in (
-        ("angle", cmd_spread_angle, False),
-        ("theoremC", cmd_spread_theorem_c, False),
-        ("minsch", cmd_spread_minsch, True),
-    ):
-        p = spread_sub.add_parser(name)
-        p.add_argument("file")
-        if needs_out:
-            p.add_argument("-o", "--output")
-        p.set_defaults(func=fn)
-    p = spread_sub.add_parser("equiv")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_spread_equiv)
-
-    p_graph = sub.add_parser("graph", help="label skeleton export")
-    graph_sub = p_graph.add_subparsers(dest="subcommand", required=True)
-    p = graph_sub.add_parser("dot")
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--level", type=int, default=4)
-    p.set_defaults(func=cmd_graph_dot)
-
-    p_fix = sub.add_parser("fixture", help="emit a built-in example structure")
-    p_fix.add_argument("name", help="prototypical | example2 | figure2 | ell2")
-    p_fix.add_argument("-N", type=int, default=None)
-    p_fix.add_argument("-o", "--output")
-    p_fix.set_defaults(func=cmd_fixture)
-
+    groups = {name: sub.add_parser(name, help=text) for name, text in _GROUPS.items()}
+    subcommands = {}
+    for group, name, arguments, handler in _COMMANDS:
+        p = groups[group]
+        if name is not None:
+            if group not in subcommands:
+                subcommands[group] = p.add_subparsers(dest="subcommand", required=True)
+            p = subcommands[group].add_parser(name)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.scalar == "float" and args.func is not cmd_spread_from_c:
+            raise FormatError("--scalar float applies only to spread from-c")
         return args.func(args)
     except (FormatError, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

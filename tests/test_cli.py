@@ -160,6 +160,21 @@ def test_gen_ell_bad_level_function_is_code_2(capsys, arg):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+def test_gen_prototypical_takes_no_level_function_bound(capsys):
+    code, out, err = run(capsys, "scs", "gen", "prototypical", "2", "7")
+    message = "scs gen prototypical 2: N does not apply to prototypical"
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_isomorphic_at_different_truncation_levels_is_code_2(tmp_path, capsys):
+    a = write(tmp_path, "a.json", scs_to_dict(prototypical(3)))
+    b = write(tmp_path, "b.json", scs_to_dict(prototypical(4)))
+    message = "scs isomorphic: compare structures at the same truncation level"
+    for pair in ((a, b), (b, a)):
+        code, out, err = run(capsys, "scs", "isomorphic", *pair)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_tower_basis_index_out_of_range_is_code_2(tmp_path, capsys):
     payload = {
         "max_level": 0,
@@ -372,11 +387,15 @@ def test_exact_cli_import_leaves_numpy_unloaded():
         ),
         (["tower", "check", "tower.json"], {"spread", "cohomology", "normal_ext", "fixtures"}),
         (["fixture", "figure2"], {"tower", "spread", "cohomology", "normal_ext", "labels"}),
+        (["scs", "classify", "structure.json"], {"linalg", "tower", "spread", "cohomology", "fixtures"}),
+        (["tower", "normal", "tower.json"], {"spread", "cohomology", "normal_ext", "fixtures"}),
+        (["spread", "theoremC", "family.json"], {"cohomology", "normal_ext", "fixtures"}),
     ],
 )
 def test_a_command_loads_only_the_modules_it_calls(tmp_path, argv, unloaded):
     write(tmp_path, "structure.json", scs_to_dict(prototypical(3)))
     write(tmp_path, "tower.json", tower_to_dict(from_scs(prototypical(3))))
+    write(tmp_path, "family.json", family_to_dict(ell2_family(3)))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     stages = _fresh_modules(*argv)
     assert stages["code"] == 0
@@ -483,6 +502,33 @@ def test_float_lane_with_an_output_file_is_code_2_before_numpy_loads(tmp_path):
     message = "spread from-c: -o does not apply to --scalar float, whose report goes to stdout"
     assert json.loads(_fresh_python(_NUMPY_PROBE, *argv)) == [2, f"input error: {message}\n", False]
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scs", "validate", "structure.json"],
+        ["tower", "check", "tower.json"],
+        ["spread", "theoremC", "family.json"],
+        ["graph", "dot"],
+        ["fixture", "figure2"],
+    ],
+)
+def test_float_scalar_outside_from_c_is_code_2(tmp_path, capsys, argv):
+    write(tmp_path, "structure.json", scs_to_dict(prototypical(2)))
+    write(tmp_path, "tower.json", tower_to_dict(from_scs(prototypical(2))))
+    write(tmp_path, "family.json", family_to_dict(ell2_family(2)))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, "--scalar", "float", *argv)
+    assert (code, out, err) == (2, "", "input error: --scalar float applies only to spread from-c\n")
+
+
+def test_float_scalar_outside_from_c_is_rejected_before_numpy_loads(tmp_path):
+    path = write(tmp_path, "family.json", family_to_dict(ell2_family(2)))
+    # the probe's own JSON line is all of stdout, so the command printed nothing
+    (line,) = _fresh_python(_NUMPY_PROBE, "--scalar", "float", "spread", "theoremC", path).splitlines()
+    message = "--scalar float applies only to spread from-c"
+    assert json.loads(line) == [2, f"input error: {message}\n", False]
 
 
 @pytest.mark.parametrize("name", ["prototypical", "example2"])
