@@ -241,7 +241,8 @@ def cmd_spread_from_c(args) -> int:
         fam = spread.float_from_contraction(
             np.array([[float(x) for x in C.row(i)] for i in range(C.nrows)]), args.n
         )
-        result = spread.float_check_theorem_C(fam, args.tol)
+        check = spread.float_check_theorem_C
+        result = check(fam) if args.tol is None else check(fam, args.tol)
         _emit(args, {"mode": "float", "theorem_checks": result})
         return 0 if result["ok"] else 1
     fam = spread.from_contraction(C, args.n)
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--scalar", choices=("exact", "float"), default="exact")
-    parser.add_argument("--tol", type=float, default=1e-10, help="float-mode tolerance")
+    parser.add_argument("--tol", type=float, help="float-mode tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {name: sub.add_parser(name, help=text) for name, text in _GROUPS.items()}
     subcommands = {}
@@ -393,6 +394,10 @@ def main(argv=None) -> int:
     try:
         if args.scalar == "float" and args.func is not cmd_spread_from_c:
             raise FormatError("--scalar float applies only to spread from-c")
+        if args.tol is not None and args.scalar != "float":
+            raise FormatError("--tol applies only to --scalar float spread from-c")
+        if args.tol is not None and not 0 < args.tol < float("inf"):
+            raise FormatError(f"--tol must be finite and positive, got {args.tol}")
         return args.func(args)
     except (FormatError, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -30,7 +30,7 @@ from .linalg import (
     subspace_intersection,
     subspace_leq,
 )
-from .scs import CheckReport, TruncatedSCS
+from .scs import CheckReport, Report, TruncatedSCS
 
 
 @dataclass
@@ -109,7 +109,7 @@ def extended_coboundary(scs: TruncatedSCS, n: int, vec: dict) -> dict:
 
 
 @dataclass
-class LevelCohomology:
+class LevelCohomology(Report):
     level: int
     dim_space: int
     dim_cocycles: int | None
@@ -119,12 +119,9 @@ class LevelCohomology:
     cocycle_basis: list
     coboundary_basis: list
 
-    def to_dict(self):
-        return self.__dict__.copy()
-
 
 @dataclass
-class CohomologyReport:
+class CohomologyReport(Report):
     levels: list
     truncation_caveats: list
 
@@ -133,9 +130,6 @@ class CohomologyReport:
             if entry.level == k:
                 return entry
         raise KeyError(k)
-
-    def to_dict(self):
-        return {**self.__dict__, "levels": [lv.to_dict() for lv in self.levels]}
 
 
 def _basis_vectors(mat: Matrix):

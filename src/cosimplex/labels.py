@@ -144,7 +144,8 @@ class Label:
         return isinstance(other, Label) and self._bits == other._bits
 
     def __hash__(self):
-        return hash(("Label", self._bits))
+        # ints hash alike in every process, so label sets iterate in one order
+        return hash(self._bits)
 
     def __str__(self):
         return "".join(str(b) for b in self._bits) if self._bits else "0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidStructureError, TruncationError
 from .labels import Label, enumerate_labels, insertion_sequence, join
-from .scs import TruncatedSCS, infer_normal_labels, normal_label_bits, preimages, validate
+from .scs import Report, TruncatedSCS, infer_normal_labels, normal_label_bits, preimages, validate
 
 
 def normal_label(scs: TruncatedSCS, y) -> Label:
@@ -54,16 +54,13 @@ def normal_label_table(scs: TruncatedSCS) -> NormalLabelTable:
 
 
 @dataclass
-class EpsilonLemmaReport:
+class EpsilonLemmaReport(Report):
     cases: int
     failures: list
 
     @property
     def ok(self):
         return not self.failures
-
-    def to_dict(self):
-        return {"ok": self.ok, "cases": self.cases, "failures": self.failures}
 
 
 def check_epsilon_lemma(scs: TruncatedSCS) -> EpsilonLemmaReport:
@@ -376,7 +373,9 @@ def classify(scs: TruncatedSCS) -> SCSInvariant:
     the normal labels of the original root elements landing in it."""
     report = validate(scs)
     if not report.ok:
-        raise InvalidStructureError(f"classify needs a valid structure: {report.to_dict()}")
+        raise InvalidStructureError(
+            f"classify needs a valid structure: {report.violations[0].message}"
+        )
     part = equivalence_classes(scs)
     ext = _extension(scs, part)
     roots = root_elements(scs)

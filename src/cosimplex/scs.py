@@ -10,11 +10,14 @@ This module stores level-N truncations: every element carries its least level,
 and the shifts α_0..α_{N-1} are recorded on all elements of level <= N-1.
 Queries that would need deeper data raise ``TruncationError`` or flag their
 result as truncation limited instead of guessing.
+
+Every verdict report derives from ``Report``, whose ``to_dict()`` gives ``ok``
+first where the class has it, then each dataclass field in order, shallow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import InvalidStructureError, TruncationError
 
@@ -86,36 +89,45 @@ class TruncatedSCS:
         return x
 
 
-# -- validation ---------------------------------------------------------------
+# -- reports and validation ---------------------------------------------------
+
+
+class Report:
+    """Base of the verdict reports.
+
+    ``to_dict()`` gives ``ok`` first when the class has that verdict, then every
+    dataclass field in order.  A list of reports becomes the list of their
+    dicts; any other value is the report's own object, shared, not copied.
+    """
+
+    def to_dict(self) -> dict:
+        out = {"ok": self.ok} if hasattr(type(self), "ok") else {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list) and value and all(isinstance(v, Report) for v in value):
+                value = [v.to_dict() for v in value]
+            out[f.name] = value
+        return out
 
 
 @dataclass
-class Violation:
+class Violation(Report):
     kind: str
     message: str
     witness: dict
 
 
 @dataclass
-class ValidationReport:
+class ValidationReport(Report):
     violations: list
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"kind": v.kind, "message": v.message, "witness": v.witness}
-                for v in self.violations
-            ],
-        }
-
 
 @dataclass
-class CheckReport:
+class CheckReport(Report):
     """Named checks in the order run; ``failures`` repeats the failed ones."""
 
     checks: list = field(default_factory=list)
@@ -130,9 +142,6 @@ class CheckReport:
         if not ok:
             self.failures.append({"check": name, **info})
 
-    def to_dict(self):
-        return {"ok": self.ok, "checks": self.checks, "failures": self.failures}
-
 
 def validate(scs: TruncatedSCS) -> ValidationReport:
     """Check every defining invariant of a truncated structure.
@@ -142,60 +151,39 @@ def validate(scs: TruncatedSCS) -> ValidationReport:
     α_j α_i = α_i α_{j-1} are evaluable, i.e. on elements of level <= N-2).
     """
     v = []
+
+    def fail(kind, message, **witness):
+        v.append(Violation(kind, message, witness))
+
     N = scs.max_level
     domain = scs.shift_domain()
     for x, lv in scs.levels.items():
         if not (-1 <= lv <= N):
-            v.append(
-                Violation("level-range", f"element {scs.name(x)} has level {lv}", {"x": x})
-            )
+            fail("level-range", f"element {scs.name(x)} has level {lv}", x=x)
     for i, mapping in enumerate(scs.shifts):
         if set(mapping) != set(domain):
             missing = sorted(domain - set(mapping))
             extra = sorted(set(mapping) - domain)
-            v.append(
-                Violation(
-                    "shift-domain",
-                    f"alpha_{i} domain mismatch (missing {missing}, extra {extra})",
-                    {"i": i, "missing": missing, "extra": extra},
-                )
-            )
+            fail("shift-domain", f"alpha_{i} domain mismatch (missing {missing}, extra {extra})",
+                 i=i, missing=missing, extra=extra)
             continue
         seen = {}
         for x, y in mapping.items():
             if y not in scs.levels:
-                v.append(
-                    Violation(
-                        "shift-target",
-                        f"alpha_{i}({scs.name(x)}) is not an element",
-                        {"i": i, "x": x, "to": y},
-                    )
-                )
+                fail("shift-target", f"alpha_{i}({scs.name(x)}) is not an element", i=i, x=x, to=y)
                 continue
             if scs.levels[y] > scs.levels[x] + 1:
-                v.append(
-                    Violation(
-                        "adaptedness",
-                        f"alpha_{i}({scs.name(x)}) has level {scs.levels[y]} > {scs.levels[x]} + 1",
-                        {"i": i, "x": x, "to": y},
-                    )
-                )
+                fail("adaptedness",
+                     f"alpha_{i}({scs.name(x)}) has level {scs.levels[y]} > {scs.levels[x]} + 1",
+                     i=i, x=x, to=y)
             if scs.levels[x] <= i - 1 and y != x:
-                v.append(
-                    Violation(
-                        "fixed-point",
-                        f"alpha_{i} must fix level-{scs.levels[x]} element {scs.name(x)}",
-                        {"i": i, "x": x, "to": y},
-                    )
-                )
+                fail("fixed-point",
+                     f"alpha_{i} must fix level-{scs.levels[x]} element {scs.name(x)}",
+                     i=i, x=x, to=y)
             if y in seen:
-                v.append(
-                    Violation(
-                        "injectivity",
-                        f"alpha_{i} sends both {scs.name(seen[y])} and {scs.name(x)} to {scs.name(y)}",
-                        {"i": i, "x1": seen[y], "x2": x, "to": y},
-                    )
-                )
+                fail("injectivity",
+                     f"alpha_{i} sends both {scs.name(seen[y])} and {scs.name(x)} to {scs.name(y)}",
+                     i=i, x1=seen[y], x2=x, to=y)
             seen[y] = x
     if not v:
         # exchange identities need valid shift maps first; with them every
@@ -207,13 +195,9 @@ def validate(scs: TruncatedSCS) -> ValidationReport:
                 a_i = scs.shifts[i]
                 for x in deep:
                     if a_j[a_i[x]] != a_i[a_jm1[x]]:
-                        v.append(
-                            Violation(
-                                "exchange",
-                                f"alpha_{j} alpha_{i} != alpha_{i} alpha_{j-1} at {scs.name(x)}",
-                                {"i": i, "j": j, "x": x},
-                            )
-                        )
+                        fail("exchange",
+                             f"alpha_{j} alpha_{i} != alpha_{i} alpha_{j-1} at {scs.name(x)}",
+                             i=i, j=j, x=x)
     return ValidationReport(v)
 
 
@@ -291,7 +275,7 @@ def fixed_set(scs: TruncatedSCS, n: int) -> frozenset:
 
 
 @dataclass
-class SaturationResult:
+class SaturationResult(Report):
     """Outcome of a saturation test at one level.
 
     ``holds`` is exact for elements of level <= N-1; when the comparison had
@@ -306,9 +290,6 @@ class SaturationResult:
 
     def __bool__(self):
         return self.holds
-
-    def to_dict(self):
-        return self.__dict__.copy()
 
 
 def check_saturation(scs: TruncatedSCS, n: int, up_to: int | None = None) -> SaturationResult:
@@ -438,7 +419,7 @@ def saturate(scs: TruncatedSCS, strict: bool = True) -> TruncatedSCS:
 
 
 @dataclass
-class DeFinettiLevel:
+class DeFinettiLevel(Report):
     n: int
     shifts_innovations: bool  # α_i(D_n) ⊆ D_{n+1} for all i <= n
     saturated_up_to_next: bool  # X_{n-1} = fixed(α_n) ∩ X_n
@@ -448,12 +429,9 @@ class DeFinettiLevel:
     top_shift_hypothesis: bool  # α_n(D_k) ⊆ D_{k+1} for all computable k >= n
     one4all_ok: bool
 
-    def to_dict(self):
-        return self.__dict__.copy()
-
 
 @dataclass
-class DeFinettiReport:
+class DeFinettiReport(Report):
     levels: list
     bugs: list
     converse_first_failures: list
@@ -463,9 +441,6 @@ class DeFinettiReport:
     @property
     def ok(self):
         return not self.bugs
-
-    def to_dict(self):
-        return {"ok": self.ok, **self.__dict__, "levels": [lv.to_dict() for lv in self.levels]}
 
 
 def check_toy_definetti_scs(scs: TruncatedSCS) -> DeFinettiReport:

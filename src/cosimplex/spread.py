@@ -34,6 +34,7 @@ from .linalg import (
     projection_matrix,
     subspace_leq,
 )
+from .scs import Report
 from .tower import HilbertTower, intertwines
 
 
@@ -257,7 +258,7 @@ def roundtrip_from_sch(tower: HilbertTower) -> SpreadableFamily:
 
 
 @dataclass
-class TheoremCReport:
+class TheoremCReport(Report):
     orthogonal_complements: bool
     angle_identity: bool
     positive: bool
@@ -268,9 +269,6 @@ class TheoremCReport:
     @property
     def ok(self):
         return not self.failures
-
-    def to_dict(self):
-        return {"ok": self.ok, **self.__dict__}
 
 
 def check_theorem_C(family: SpreadableFamily) -> TheoremCReport:
@@ -344,13 +342,10 @@ def _generated_saturated(family: SpreadableFamily, tower: HilbertTower, Q0: Matr
 
 
 @dataclass
-class InvariantResult:
+class InvariantResult(Report):
     equivalent: bool
     reason: str
     intertwiner_verified: bool
-
-    def to_dict(self):
-        return self.__dict__.copy()
 
 
 def check_complete_invariant(fam_a: SpreadableFamily, fam_b: SpreadableFamily) -> InvariantResult:

@@ -40,7 +40,7 @@ from .linalg import (
     subspace_rank,
     try_orthonormal_basis,
 )
-from .scs import CheckReport, TruncatedSCS
+from .scs import CheckReport, Report, TruncatedSCS
 
 
 @dataclass
@@ -297,16 +297,13 @@ def labeled_subspaces(tower: HilbertTower, innov: dict | None = None) -> dict:
 
 
 @dataclass
-class NormalityReport:
+class NormalityReport(Report):
     adjoint_exchange: bool  # (c)
     complement_shift: bool  # (d)
     orthogonal_labels: bool  # (e)
     criteria_agree: bool
     normal: bool
     details: dict
-
-    def to_dict(self):
-        return self.__dict__.copy()
 
 
 def _adjoint_on_level(tower: HilbertTower, i: int, k: int) -> Matrix:

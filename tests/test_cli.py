@@ -357,10 +357,11 @@ print(json.dumps(stages))
 """
 
 
-def _fresh_python(code, *argv):
-    """stdout of ``code`` run in a new interpreter that imports from src/."""
+def _fresh_python(code, *argv, env=None):
+    """stdout of ``code`` run in a new interpreter that imports from src/,
+    with the variables of ``env`` added to its environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, **(env or {})}
     result = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
     )
@@ -529,6 +530,76 @@ def test_float_scalar_outside_from_c_is_rejected_before_numpy_loads(tmp_path):
     (line,) = _fresh_python(_NUMPY_PROBE, "--scalar", "float", "spread", "theoremC", path).splitlines()
     message = "--scalar float applies only to spread from-c"
     assert json.loads(line) == [2, f"input error: {message}\n", False]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tol", "0.5", "scs", "validate", "structure.json"],
+         "--tol applies only to --scalar float spread from-c"),
+        (["--tol", "0.5", "spread", "from-c", "c.json", "-n", "3"],
+         "--tol applies only to --scalar float spread from-c"),
+        (["--scalar", "float", "--tol", "nan", "spread", "from-c", "c.json", "-n", "3"],
+         "--tol must be finite and positive, got nan"),
+        (["--scalar", "float", "--tol", "0", "spread", "from-c", "c.json", "-n", "3"],
+         "--tol must be finite and positive, got 0.0"),
+        (["--scalar", "float", "--tol", "-1", "spread", "from-c", "c.json", "-n", "3"],
+         "--tol must be finite and positive, got -1.0"),
+    ],
+)
+def test_tol_outside_the_float_lane_or_not_positive_is_code_2(tmp_path, capsys, argv, message):
+    write(tmp_path, "structure.json", scs_to_dict(prototypical(2)))
+    write(tmp_path, "c.json", [["9/25", "0"], ["0", "16/25"]])
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
+
+
+def test_tol_in_the_float_lane_is_used(tmp_path, capsys):
+    path = write(tmp_path, "c.json", [["9/25", "0"], ["0", "16/25"]])
+    argv = ["--scalar", "float", "spread", "from-c", path, "-n", "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["theorem_checks"]["orthogonality_deviation"] == 0.0
+    # the default is the float functions' own 1e-10
+    assert run(capsys, "--tol", "1e-10", *argv) == (0, out, "")
+    # a coarse tolerance also widens the fixed space's null-space threshold
+    code, coarse, err = run(capsys, "--tol", "0.5", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(coarse)["theorem_checks"]["orthogonality_deviation"] > 0.1
+
+
+_HASH_PROBE = """
+import contextlib, io, json, sys
+from cosimplex.cli import main
+from cosimplex.labels import Label
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps([hash(Label("101")), runs]))
+"""
+
+
+def test_label_commands_print_the_same_bytes_under_every_hash_seed(tmp_path):
+    fig2 = write(tmp_path, "fig2.json", scs_to_dict(figure2_scs()))
+    ex2 = write(tmp_path, "ex2.json", scs_to_dict(example2_scs(4)))
+    tower = write(tmp_path, "tower.json", tower_to_dict(from_scs(figure2_scs())))
+    commands = [
+        ["scs", "labels", fig2],
+        ["scs", "classify", fig2],
+        ["scs", "extend", fig2],
+        ["scs", "classify", ex2],
+        ["tower", "labels", tower],
+        ["tower", "normal", tower],
+    ]
+    seen = [
+        json.loads(_fresh_python(_HASH_PROBE, json.dumps(commands), env={"PYTHONHASHSEED": seed}))
+        for seed in ("0", "1")
+    ]
+    assert seen[0] == seen[1]
+    assert [code for code, _ in seen[0][1]] == [0] * len(commands)
 
 
 @pytest.mark.parametrize("name", ["prototypical", "example2"])

@@ -258,6 +258,14 @@ def test_classify_prototypical():
     assert layer.is_antichain
 
 
+def test_classify_of_an_invalid_structure_names_its_first_violation():
+    # level 5 is out of range, and both shifts then lift 1 by more than one level
+    bad = TruncatedSCS(2, {0: 0, 1: 1, 2: 5}, ({0: 1, 1: 2}, {0: 0, 1: 2}))
+    with pytest.raises(InvalidStructureError) as info:
+        classify(bad)
+    assert str(info.value) == "classify needs a valid structure: element 2 has level 5"
+
+
 def test_classify_two_copies():
     inv = classify(disjoint_union(prototypical(4), prototypical(4)))
     assert inv.multiplicities() == {1: 2}
