@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 when every requested check passes, 1 on property failures or
-truncation insufficiency, 2 on malformed input (an invalid structure
+truncation insufficiency, 2 on malformed input (an invalid structure or tower
 included), 3 when a self-check on a computed result fails.  Reports are
 deterministic byte streams for identical inputs (sorted JSON keys, no
 timestamps).
@@ -63,8 +63,22 @@ def _load_scs(path: str) -> scs.TruncatedSCS:
     return structure
 
 
-def _load_tower(path: str) -> tower.HilbertTower:
+def _read_tower(path: str) -> tower.HilbertTower:
     return io_json.tower_from_dict(io_json.load_json(path))
+
+
+def _load_tower(path: str) -> tower.HilbertTower:
+    """Read a tower for analysis; one that fails ``check_tower`` is rejected
+    as input, with its first failed check and that check's witness."""
+    from . import tower
+    t = _read_tower(path)
+    report = tower.check_tower(t)
+    if not report.ok:
+        failure = dict(report.failures[0])
+        kind = failure.pop("check")
+        witness = ", ".join(f"{key}={value}" for key, value in failure.items())
+        raise FormatError(f"invalid tower: {kind} fails at {witness}")
+    return t
 
 
 def _load_family(path: str) -> spread.SpreadableFamily:
@@ -192,8 +206,7 @@ def cmd_scs_dot(args) -> int:
 
 def cmd_tower_labels(args) -> int:
     from . import tower
-    t = _load_tower(args.file)
-    subs = tower.labeled_subspaces(t)
+    subs = tower.labeled_subspaces(_load_tower(args.file))
     payload = {
         str(lab): [[str(x) for x in v] for v in vs]
         for lab, vs in sorted(subs.items(), key=lambda kv: kv[0].sort_key())
@@ -334,7 +347,7 @@ _COMMANDS = (
         _arg("N", nargs="?", help="truncation level for the level function"),
         _arg("-o", "--output"),
     ), cmd_scs_gen),
-    ("tower", "check", _FILE, _report("tower.check_tower", _load_tower, "ok")),
+    ("tower", "check", _FILE, _report("tower.check_tower", _read_tower, "ok")),
     ("tower", "labels", _FILE, cmd_tower_labels),
     ("tower", "normal", _FILE, _report(
         "tower.check_normal", _load_tower, "criteria_agree",

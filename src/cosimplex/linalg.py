@@ -338,6 +338,19 @@ def dot(u, v) -> Fraction:
     return _ratio(s, du * dv)
 
 
+def orthogonal(a_vectors, b_vectors) -> bool:
+    """Whether every vector of ``a_vectors`` is orthogonal to every vector of
+    ``b_vectors``.  Each vector is cleared of denominators once: scaling by a
+    positive integer moves no inner product to or from zero."""
+    b = [_ints(w)[0] for w in b_vectors]
+    for u in a_vectors:
+        pairs, _ = _ints(u)
+        dense = _dense(pairs, len(u))
+        if any(sum(dense[j] * x for j, x in w) for w in b):
+            return False
+    return True
+
+
 def vec_scale(c, u):
     c = _frac(c)
     return tuple(c * a for a in u)

@@ -466,9 +466,10 @@ def float_check_theorem_C(family: FloatSpreadableFamily, tol: float = 1e-10) -> 
     raw, deviation = float_operator_angle(family, tol)
     A0 = family.shift0
     n = family.ambient_dim
-    # kernel of (A0 - I) via SVD
+    # kernel of (A0 - I) via SVD, cut at numpy's rank threshold: ``tol``
+    # judges the deviations below, it must not choose the projection Q
     u, s, vt = np.linalg.svd(A0 - np.eye(n))
-    null_mask = s <= tol * max(1.0, s.max() if len(s) else 1.0)
+    null_mask = s <= (s.max() * n * np.finfo(float).eps if len(s) else 0.0)
     basis = vt[len(s) - null_mask.sum() :].T if null_mask.sum() else np.zeros((n, 0))
     Q = basis @ basis.T
     comps = [(np.eye(n) - Q) @ iota for iota in family.isometries]

@@ -9,10 +9,15 @@ adjoints are transposes; level bases may be arbitrary rational spanning sets.
 
 On top of the raw structure this module computes innovation subspaces, fixed
 spaces of shifts (replacing ergodic averaging by exact kernel computations),
-labeled subspaces with their partial isometries, the three equivalent
-normality criteria, the unitary generators of the induced symmetric-group
-action on a normal tower, and the factorization checks for towers presented
-by localized unitaries.
+labeled subspaces, the three equivalent normality criteria, the unitary
+generators of the induced symmetric-group action on a normal tower, and the
+factorization checks for towers presented by localized unitaries.
+
+The normality criteria invert one Gram matrix per level: every coface
+adjoint into H_k is B (BᵀB)⁻¹ D_iᵀ for the basis B of H_{k-1} and
+D_i = δ_i B.  The generators come from the labeled basis, the
+columns of the labeled subspaces in label order: u_j permutes its columns,
+so all of them need one inverse.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .linalg import (
     dot,
     fixed_vectors,
     gram_schmidt,
+    orthogonal,
     orthogonal_complement_within,
-    partial_isometry,
     projection_matrix,
     span_basis,
     subspace_equal,
@@ -306,16 +311,6 @@ class NormalityReport(Report):
     details: dict
 
 
-def _adjoint_on_level(tower: HilbertTower, i: int, k: int) -> Matrix:
-    """Ambient matrix of the adjoint of the coface H_{k-1} -> H_k, extended by
-    zero off H_k; rational because the coface is isometric on H_{k-1}."""
-    B = tower.basis(k - 1)
-    # delta* = B G^{-1} D^T with G = B^T B symmetric, so the transpose of the
-    # partial isometry B -> D; not the one D -> B, whose D^T D equals G only
-    # on towers that pass the isometry check
-    return partial_isometry(B, tower.coface(i, k) * B).transpose()
-
-
 def check_normal(tower: HilbertTower, details: bool = True) -> NormalityReport:
     """Evaluate the three normality criteria and assert they agree.
 
@@ -331,40 +326,45 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
     N = tower.max_level
     info = {}
 
+    def push(i: int, n: int, M):
+        """The coface H_{n-1} -> H_n applied to ``M``: the shift for i < n,
+        the inclusion (``M`` itself) above."""
+        return M if i >= n else tower.shifts[i] * M
+
+    def adjoints(n: int) -> list:
+        """Adjoints of the cofaces into H_n, i = 0..n, as ambient matrices
+        P D_iᵀ, extended by zero off H_n: P = B (BᵀB)⁻¹ for the basis B of
+        H_{n-1}, and D_i = δ_i B, which is B for the inclusion i = n.
+        That is the transpose of the partial isometry B -> D_i; the one
+        D_i -> B would need D_iᵀ D_i, which equals BᵀB only on towers that
+        pass the isometry check."""
+        B = tower.basis(n - 1)
+        P = B * (B.transpose() * B).inverse()
+        return [P * push(i, n, B).transpose() for i in range(n + 1)]
+
     ok_c = True
-    adjoints = {}  # (i, k) -> _adjoint_on_level(tower, i, k), within this call
+    adj_low = adjoints(0) if N > 0 else []
     for k in range(0, N):
         Bk = tower.basis(k)
-        adj_low = {}
-        adj_high = {}
-        pushed = {}
-        for i in range(0, k + 2):
-            for level in (k, k + 1):
-                if (i, level) not in adjoints:
-                    adjoints[i, level] = _adjoint_on_level(tower, i, level)
-            adj_low[i] = adjoints[i, k] * Bk
-            adj_high[i] = adjoints[i, k + 1]
-            pushed[i] = tower.coface(i, k + 1) * Bk
+        adj_high = adjoints(k + 1)
+        low = [adj * Bk for adj in adj_low]
         for j in range(1, k + 2):
+            pushed = push(j, k + 1, Bk)
             for i in range(0, j):
-                lhs = tower.coface(j - 1, k) * adj_low[i]
-                rhs = adj_high[i] * pushed[j]
-                if lhs != rhs:
+                if push(j - 1, k, low[i]) != adj_high[i] * pushed:
                     ok_c = False
                     info.setdefault("adjoint_witness", {"i": i, "j": j, "k": k})
+        adj_low = adj_high
 
     ok_d = True
     for k in range(0, N):
-        comp = {}
-        img_cur = {}
-        for i in range(0, k + 2):
-            img_prev = (tower.coface(i, k) * tower.basis(k - 1)).columns()
-            comp[i] = orthogonal_complement_within(img_prev, tower.basis(k).columns())
-            img_cur[i] = (tower.coface(i, k + 1) * tower.basis(k)).columns()
+        prev, Bk = tower.basis(k - 1), tower.basis(k)
+        # columns spanning H_k ⊖ δ_i H_{k-1}: B_k times the kernel of (δ_i B_{k-1})ᵀ B_k
+        comp = [Bk * (push(i, k, prev).transpose() * Bk).kernel() for i in range(k + 1)]
+        img_cur = [push(i, k + 1, Bk).columns() for i in range(k + 1)]
         for j in range(1, k + 2):
-            moved = {i: [tower.coface(j, k + 1) * v for v in comp[i]] for i in range(j)}
             for i in range(0, j):
-                if any(any(dot(m, w) != 0 for w in img_cur[i]) for m in moved[i]):
+                if not orthogonal(push(j, k + 1, comp[i]).columns(), img_cur[i]):
                     ok_d = False
                     info.setdefault("complement_witness", {"i": i, "j": j, "k": k})
 
@@ -374,8 +374,7 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
     labs = sorted(subspaces, key=lambda l: l.sort_key())
     for a_idx in range(len(labs)):
         for b_idx in range(a_idx + 1, len(labs)):
-            va, vb = subspaces[labs[a_idx]], subspaces[labs[b_idx]]
-            if any(dot(x, y) != 0 for x in va for y in vb):
+            if not orthogonal(subspaces[labs[a_idx]], subspaces[labs[b_idx]]):
                 ok_e = False
                 info.setdefault(
                     "overlap_witness",
@@ -412,7 +411,7 @@ def _normal_decomposition_details(tower: HilbertTower, subspaces: dict, innov: d
         one_bit = [
             v for lab, vs in subspaces.items() if lab.bit(i) == 1 for v in vs
         ]
-        if any(any(dot(r, w) != 0 for w in one_bit) for r in rng):
+        if not orthogonal(rng, one_bit):
             out["range_split"] = False
     # operational characterization on each labeled subspace
     for lab, vs in subspaces.items():
@@ -452,36 +451,43 @@ class HessenbergData:
 def build_symmetric_rep(tower: HilbertTower) -> HessenbergData:
     """Unitaries u_j permuting the labeled subspaces by adjacent transposition.
 
-    Requires a normal tower.  u_j maps the labeled copy of each root vector at
-    label χ to the copy at the transposed label; the generators square to the
-    identity and satisfy the braid relations.
+    Requires a normal tower whose top level is the whole ambient.  The
+    labeled subspaces, in label order, give a basis B of the ambient, column
+    (χ, r) being the copy at label χ of root vector r; u_j sends it to column
+    (τ_j χ, r), so u_j = (B P_j) B⁻¹ with one inverse for all j.  Each u_j is
+    verified to be an involution and orthogonal.
     """
     rep, subspaces = _check_normal(tower, details=False)
     if not rep.normal:
         raise NotNormalError("symmetric generators need a normal tower")
     N = tower.max_level
-    # group labels by rank and identify each subspace with its root basis copy
-    unitaries = []
+    permuted = []  # for each j, the columns of B P_j
     for j in range(1, N + 1):
-        U = Matrix.zeros(tower.ambient_dim, tower.ambient_dim)
-        for lab, vs in subspaces.items():
+        cols = []
+        for lab in subspaces:
             target = transpose_action(lab, j)
             if target.level > N:
                 raise PreconditionError(
                     f"generator u_{j} leaves the truncation on label {lab}"
                 )
-            tvs = subspaces[target]
-            # both bases are isometric images of the same root basis, in order
-            B = Matrix.from_columns(vs, nrows=tower.ambient_dim)
-            T = Matrix.from_columns(tvs, nrows=tower.ambient_dim)
-            U = U + partial_isometry(B, T)
-        unitaries.append(U)
-    data = HessenbergData(tower, unitaries)
-    for j in range(1, N + 1):
-        U = data.u(j)
-        if U * U != Matrix.identity(tower.ambient_dim):
+            cols.extend(subspaces[target])
+        permuted.append(cols)
+    if not permuted:
+        return HessenbergData(tower, [])
+    if tower.dim(N) != tower.ambient_dim:
+        raise PreconditionError("symmetric generators need the ambient to equal the top level")
+    basis = [v for vs in subspaces.values() for v in vs]
+    if len(basis) != tower.ambient_dim:
+        raise InternalInconsistencyError("the labeled subspaces are not a basis of the ambient")
+    inverse = Matrix.from_columns(basis, nrows=tower.ambient_dim).inverse()
+    unitaries = [Matrix.from_columns(cols, nrows=tower.ambient_dim) * inverse for cols in permuted]
+    identity = Matrix.identity(tower.ambient_dim)
+    for j, U in enumerate(unitaries, 1):
+        if U * U != identity:
             raise InternalInconsistencyError(f"generator u_{j} is not an involution")
-    return data
+        if U.transpose() * U != identity:
+            raise InternalInconsistencyError(f"generator u_{j} is not unitary")
+    return HessenbergData(tower, unitaries)
 
 
 def permutation_unitary(data: HessenbergData, word) -> Matrix:
@@ -510,7 +516,6 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
     tower = data.tower
     N = tower.max_level
     M = data.count
-    ambient = Matrix.identity(tower.ambient_dim)
 
     for k in range(1, M + 1):
         if k - 2 <= N:
@@ -540,22 +545,17 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
             subspace_leq(img, tower.basis(k + 1).columns()),
         )
 
-    # alpha_n restricted to H_k as a finite product u_{n+1} ... u_{k+1}
-    def product_shift(n: int, k: int) -> Matrix:
-        out = ambient
-        for m in range(n + 1, k + 2):
-            out = out * data.u(m)
-        return out
-
+    # alpha_n restricted to H_k as the product u_{n+1} ... u_{k+1}, grown by
+    # one factor per level
     for n in range(0, N):
-        for k in range(n, N):
-            if k + 1 > M:
-                continue
+        product = None
+        for k in range(n, min(N, M)):
+            product = data.u(k + 1) if product is None else product * data.u(k + 1)
             B = tower.basis(k)
             report.record(
                 "shift-as-product",
                 {"n": n, "k": k},
-                product_shift(n, k) * B == tower.alpha(n) * B,
+                product * B == tower.alpha(n) * B,
             )
         for k in range(-1, n):
             B = tower.basis(k)
@@ -568,7 +568,7 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
         for l in range(-1, N):
             img = [tower.alpha(n) * v for v in innov[l]]
             for m in range(l + 2, N + 1):
-                if any(any(dot(w, u) != 0 for u in innov[m]) for w in img):
+                if not orthogonal(img, innov[m]):
                     ok = False
         report.record("staircase-blocks", {"n": n}, ok)
 
@@ -592,8 +592,8 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
         if j + 1 > N:
             continue
         rng = tower.alpha(j + 1) * tower.basis(N - 1)
-        lhs = data.u(j) * data.u(j + 1) * data.u(j) * rng
-        rhs = data.u(j + 1) * data.u(j) * data.u(j + 1) * rng
+        lhs = data.u(j) * (data.u(j + 1) * (data.u(j) * rng))
+        rhs = data.u(j + 1) * (data.u(j) * (data.u(j + 1) * rng))
         if lhs != rhs:
             cond3 = False
     report.record("exchange-condition-1", {}, cond1)

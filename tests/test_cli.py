@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import cosimplex.cohomology
+import cosimplex.spread
 from cosimplex.cli import main
 from cosimplex.errors import InternalInconsistencyError
-from cosimplex.fixtures import example2_scs, figure2_scs, prototypical
+from cosimplex.fixtures import example2_scs, figure2_scs, layered_scs, prototypical
 from cosimplex.io_json import (
     dump_json,
     family_from_dict,
@@ -23,6 +24,7 @@ from cosimplex.io_json import (
     tower_to_dict,
 )
 from cosimplex.fixtures import ell2_family
+from cosimplex.scs import from_ell
 from cosimplex.tower import from_scs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -554,7 +556,7 @@ def test_tol_outside_the_float_lane_or_not_positive_is_code_2(tmp_path, capsys, 
     assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
 
 
-def test_tol_in_the_float_lane_is_used(tmp_path, capsys):
+def test_tol_in_the_float_lane_is_used(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "c.json", [["9/25", "0"], ["0", "16/25"]])
     argv = ["--scalar", "float", "spread", "from-c", path, "-n", "3"]
     code, out, err = run(capsys, *argv)
@@ -562,10 +564,23 @@ def test_tol_in_the_float_lane_is_used(tmp_path, capsys):
     assert json.loads(out)["theorem_checks"]["orthogonality_deviation"] == 0.0
     # the default is the float functions' own 1e-10
     assert run(capsys, "--tol", "1e-10", *argv) == (0, out, "")
-    # a coarse tolerance also widens the fixed space's null-space threshold
-    code, coarse, err = run(capsys, "--tol", "0.5", *argv)
+    # a coarse tolerance reaches the check, and only as its pass threshold
+    seen = []
+    check = cosimplex.spread.float_check_theorem_C
+    monkeypatch.setattr(
+        cosimplex.spread, "float_check_theorem_C", lambda fam, tol: seen.append(tol) or check(fam, tol)
+    )
+    assert run(capsys, "--tol", "0.5", *argv) == (0, out, "")
+    assert seen == [0.5]
+
+
+@pytest.mark.parametrize("tol", ["0.5", "0.9"])
+def test_coarse_tol_leaves_the_float_fixed_space_alone(tmp_path, capsys, tol):
+    path = write(tmp_path, "c.json", [["9/25", "0"], ["0", "16/25"]])
+    code, out, err = run(capsys, "--scalar", "float", "--tol", tol, "spread", "from-c", path, "-n", "3")
     assert (code, err) == (0, "")
-    assert json.loads(coarse)["theorem_checks"]["orthogonality_deviation"] > 0.1
+    checks = json.loads(out)["theorem_checks"]
+    assert checks["orthogonality_deviation"] == checks["angle_identity_deviation"] == 0.0
 
 
 _HASH_PROBE = """
@@ -641,6 +656,44 @@ def test_tower_normal_on_figure2(tmp_path, capsys):
     assert payload["normal"] is False
     assert payload["criteria_agree"] is True
     assert code == 0  # criteria agreement is the property; normality is data
+
+
+def _broken_alpha_1_tower(tmp_path):
+    """The ball-in-box tower of ell = (1, 2, 2) with its alpha_1 block
+    replaced by a map that is no isometry."""
+    payload = tower_to_dict(from_scs(from_ell([1, 2, 2], 2)))
+    payload["shifts"][1]["matrix"] = [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+    return write(tmp_path, "broken.json", payload)
+
+
+@pytest.mark.parametrize("command", ["labels", "normal", "symrep", "hessenberg", "definetti"])
+def test_tower_analysis_of_an_invalid_tower_is_code_2(tmp_path, capsys, command):
+    path = _broken_alpha_1_tower(tmp_path)
+    assert run(capsys, "tower", command, path) == (2, "", "input error: invalid tower: isometry fails at i=1\n")
+
+
+def test_tower_check_still_reports_an_invalid_tower(tmp_path, capsys):
+    code, out, err = run(capsys, "tower", "check", _broken_alpha_1_tower(tmp_path))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["failures"][0] == {"check": "isometry", "i": 1}
+
+
+def test_tower_symrep_below_the_ambient_is_a_precondition_error(tmp_path, capsys):
+    # a normal tower with one zero coordinate appended to every basis and shift
+    payload = tower_to_dict(from_scs(layered_scs([1, 1], 2)))
+    d = payload["ambient_dim"]
+    payload["ambient_dim"] = d + 1
+    del payload["coordinate_names"]
+    for block in payload["shifts"]:
+        block["matrix"] = [row + ["0"] for row in block["matrix"]] + [["0"] * (d + 1)]
+    path = write(tmp_path, "padded.json", payload)
+    assert run(capsys, "tower", "check", path)[0] == 0
+    code, out, _ = run(capsys, "tower", "normal", path)
+    assert code == 0 and json.loads(out)["normal"] is True
+    for command in ("symrep", "hessenberg"):
+        assert run(capsys, "tower", command, path) == (
+            1, "", "error: symmetric generators need the ambient to equal the top level\n"
+        )
 
 
 def test_tower_symrep(tmp_path, capsys):

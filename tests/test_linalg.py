@@ -23,6 +23,7 @@ from cosimplex.linalg import (
     dot,
     fixed_vectors,
     gram_schmidt,
+    orthogonal,
     orthogonal_complement_within,
     partial_isometry,
     primitive,
@@ -347,6 +348,22 @@ def test_products_and_dot_equal_the_dense_fraction_reference(data):
     assert dot(u, v) == sum((a * b for a, b in zip(u, v)), F(0))
     assert dot(u, v) == dot(v, u)
     assert all(type(x) is Fraction for x in entries(AB) + list(A * u) + [dot(u, v)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_lists(max_cols=4).flatmap(lambda mc: st.tuples(
+    st.just(mc[1]),
+    st.lists(st.lists(rationals, min_size=mc[0], max_size=mc[0]).map(tuple), max_size=4),
+    st.booleans(),
+)))
+def test_orthogonal_is_the_pairwise_dot_test(data):
+    a, pool, perp = data
+    # half the cases draw b from the complement of a, so both verdicts occur
+    b = orthogonal_complement_within(a, pool) if perp else pool
+    expected = all(dot(x, y) == 0 for x in a for y in b)
+    assert orthogonal(a, b) == orthogonal(b, a) == expected
+    if perp:
+        assert expected
 
 
 def dense_rows(M):

@@ -1,14 +1,16 @@
 """Hilbert towers: structure checks, labeled subspaces, normality, generators."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from cosimplex.errors import NotNormalError
+from cosimplex.errors import InternalInconsistencyError, NotNormalError
 from cosimplex import tower as tower_mod
 from cosimplex.fixtures import (
+    ell2_tower,
     example2_scs,
     figure2_scs,
     identity_shift_tower,
@@ -19,8 +21,17 @@ from cosimplex.fixtures import (
     random_signed_permutation,
     rotate_tower,
 )
-from cosimplex.labels import Label
-from cosimplex.linalg import Matrix, fixed_vectors, span_basis, subspace_equal
+from cosimplex.io_json import matrix_to_json
+from cosimplex.labels import Label, transpose_action
+from cosimplex.linalg import (
+    Matrix,
+    dot,
+    fixed_vectors,
+    orthogonal_complement_within,
+    partial_isometry,
+    span_basis,
+    subspace_equal,
+)
 from cosimplex.normal_ext import is_normal_scs
 from cosimplex.scs import TruncatedSCS, disjoint_union, from_ell
 from cosimplex.tower import (
@@ -447,3 +458,233 @@ def test_rotation_keeps_normality_root_dimensions_and_equivalence(name):
         assert result.equivalent and result.verified
         assert result.root_dims_a == result.root_dims_b == root_dimension_sequence(tower)
         assert intertwines(result.intertwiner, tower, rotated)
+
+
+# -- one Gram inverse per level, against the per-coface construction --------------------------
+
+
+def _reference_normal(tower):
+    """``check_normal`` the per-coface way: one partial isometry per coface
+    and level for (c), one complement per coface for (d), and every
+    criterion's zero test as pairwise ``dot`` products."""
+    N = tower.max_level
+    info = {}
+
+    adjoints = {}
+
+    def adjoint(i, k):
+        if (i, k) not in adjoints:
+            B = tower.basis(k - 1)
+            adjoints[i, k] = partial_isometry(B, tower.coface(i, k) * B).transpose()
+        return adjoints[i, k]
+
+    ok_c = True
+    for k in range(N):
+        Bk = tower.basis(k)
+        for j in range(1, k + 2):
+            for i in range(j):
+                lhs = tower.coface(j - 1, k) * (adjoint(i, k) * Bk)
+                rhs = adjoint(i, k + 1) * (tower.coface(j, k + 1) * Bk)
+                if lhs != rhs:
+                    ok_c = False
+                    info.setdefault("adjoint_witness", {"i": i, "j": j, "k": k})
+    ok_d = True
+    for k in range(N):
+        for j in range(1, k + 2):
+            for i in range(j):
+                img_prev = (tower.coface(i, k) * tower.basis(k - 1)).columns()
+                comp = orthogonal_complement_within(img_prev, tower.basis(k).columns())
+                moved = [tower.coface(j, k + 1) * v for v in comp]
+                img_cur = (tower.coface(i, k + 1) * tower.basis(k)).columns()
+                if any(dot(m, w) != 0 for m in moved for w in img_cur):
+                    ok_d = False
+                    info.setdefault("complement_witness", {"i": i, "j": j, "k": k})
+    innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
+    subspaces = labeled_subspaces(tower)
+    ok_e = True
+    for a, b in itertools.combinations(sorted(subspaces, key=lambda l: l.sort_key()), 2):
+        if any(dot(x, y) != 0 for x in subspaces[a] for y in subspaces[b]):
+            ok_e = False
+            info.setdefault("overlap_witness", {"labels": [str(a), str(b)]})
+    agree = ok_c == ok_d == ok_e
+    if ok_c and agree:
+        info["decomposition"] = tower_mod._normal_decomposition_details(tower, subspaces, innov)
+    return tower_mod.NormalityReport(ok_c, ok_d, ok_e, agree, ok_c and agree, info), subspaces
+
+
+def _reference_generators(tower, subspaces):
+    """u_j as the sum over labels of the partial isometries from each labeled
+    subspace onto its transposed copy."""
+    d = tower.ambient_dim
+    out = []
+    for j in range(1, tower.max_level + 1):
+        U = Matrix.zeros(d, d)
+        for lab, vs in subspaces.items():
+            target = Matrix.from_columns(subspaces[transpose_action(lab, j)], nrows=d)
+            U = U + partial_isometry(Matrix.from_columns(vs, nrows=d), target)
+        out.append(U)
+    return out
+
+
+def _reference_hessenberg_records(data):
+    """The shift-as-product and staircase records and the third exchange
+    condition, each product taken in full and zero tests by ``dot``."""
+    tower, N, M = data.tower, data.tower.max_level, data.count
+    out = []
+    for n in range(N):
+        for k in range(n, N):
+            if k + 1 <= M:
+                product = Matrix.identity(tower.ambient_dim)
+                for m in range(n + 1, k + 2):
+                    product = product * data.u(m)
+                B = tower.basis(k)
+                out.append(("shift-as-product", n, k, product * B == tower.alpha(n) * B))
+    innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
+    for n in range(N):
+        ok = all(
+            dot(tower.alpha(n) * v, w) == 0
+            for l in range(-1, N) for m in range(l + 2, N + 1) for v in innov[l] for w in innov[m]
+        )
+        out.append(("staircase-blocks", n, ok))
+    cond3 = True
+    for j in range(1, min(M, N)):
+        rng = tower.alpha(j + 1) * tower.basis(N - 1)
+        u, v = data.u(j), data.u(j + 1)
+        cond3 = cond3 and u * v * u * rng == v * u * v * rng
+    return out + [("exchange-condition-3", cond3)]
+
+
+def _hessenberg_records(report):
+    out = []
+    for c in report.checks:
+        if c["check"] == "shift-as-product":
+            out.append((c["check"], c["n"], c["k"], c["ok"]))
+        elif c["check"] == "staircase-blocks":
+            out.append((c["check"], c["n"], c["ok"]))
+        elif c["check"] == "exchange-condition-3":
+            out.append((c["check"], c["ok"]))
+    return out
+
+
+def _random_ell(rng, N):
+    values = [rng.randint(0, N)]
+    for n in range(1, N + 1):
+        values.append(rng.randint(n, values[n - 1] + 1))
+    return values
+
+
+def _skew(B):
+    """The same span, by the columns b_1, b_1 + b_2, ...: a Gram matrix that
+    is not the identity."""
+    n = B.ncols
+    return B * Matrix.from_entries(n, n, {(r, c): 1 for c in range(n) for r in range(c + 1)})
+
+
+def _oracle_towers():
+    """Every tower fixture, normal or not, and random ball-in-box towers (every
+    other one a disjoint union of two), each as built, rotated with skewed
+    level bases, and with its last shift broken by a coordinate swap."""
+    structures = [
+        layered_scs(dims, N)
+        for dims, N in (([1, 1], 3), ([0, 1, 1], 3), ([1, 0, 1], 3), ([1, 1, 1], 2),
+                        ([1, 2], 3), ([2, 1], 3), ([1, 1, 1], 3))
+    ]
+    structures += [layer_minus_root_scs(2, 3), layer_minus_root_scs(3, 4), figure2_scs(),
+                   example2_scs(4), prototypical(4)]
+    rng = random.Random(2121)
+    for t in range(8):
+        N = rng.randint(2, 4)
+        s = from_ell(_random_ell(rng, N), N)
+        structures.append(disjoint_union(s, from_ell(_random_ell(rng, N), N)) if t % 2 else s)
+    towers = [from_scs(s) for s in structures] + [identity_shift_tower(3), ell2_tower(3)]
+    out = []
+    for t in towers:
+        d = t.ambient_dim
+        swap = {(i, i): 1 for i in range(1, d - 1)}
+        swap.update({(0, d - 1): 1, (d - 1, 0): 1} if d > 1 else {(0, 0): -1})
+        broken = t.shifts[:-1] + [t.shifts[-1] * Matrix.from_entries(d, d, swap)]
+        rotated = rotate_tower(t, random_rational_rotation(d, random.Random(len(out))))
+        out += [
+            t,
+            replace(rotated, level_bases=[_skew(B) for B in rotated.level_bases]),
+            replace(t, shifts=broken),
+        ]
+    return out
+
+
+def test_normality_and_generators_equal_the_per_coface_construction():
+    towers = _oracle_towers()
+    assert len(towers) >= 60
+    verdicts = set()
+    for t in towers:
+        rep, subspaces = tower_mod._check_normal(t, True)
+        ref, ref_subspaces = _reference_normal(t)
+        assert rep.to_dict() == ref.to_dict()
+        assert list(subspaces) == list(ref_subspaces)
+        verdicts.add(rep.normal)
+        if rep.normal:
+            unitaries = build_symmetric_rep(t).unitaries
+            expected = _reference_generators(t, subspaces)
+            assert list(map(matrix_to_json, unitaries)) == list(map(matrix_to_json, expected))
+        else:
+            unitaries = [Matrix.identity(t.ambient_dim)] * t.max_level
+        # rotated by one place, the generators fail some of the checks
+        data = HessenbergData(t, unitaries[1:] + unitaries[:1])
+        assert _hessenberg_records(check_hessenberg(data)) == _reference_hessenberg_records(data)
+    assert verdicts == {True, False}
+
+
+def _count_inverses(monkeypatch):
+    calls = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        calls.append(self.nrows)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scs", [layered_scs([1, 1, 1], 3), prototypical(5), figure2_scs()])
+def test_check_normal_inverts_one_gram_matrix_per_level(monkeypatch, scs):
+    tower = from_scs(scs)
+    calls = _count_inverses(monkeypatch)
+    check_normal(tower)
+    assert len(calls) <= tower.max_level + 2
+
+
+def test_symmetric_rep_inverts_the_labeled_basis_once(monkeypatch):
+    tower = from_scs(layered_scs([1, 1, 1], 3))
+    tower = rotate_tower(tower, random_rational_rotation(tower.ambient_dim, random.Random(5)))
+    calls = _count_inverses(monkeypatch)
+    tower_mod._check_normal(tower, details=False)
+    own = len(calls)
+    build_symmetric_rep(tower)
+    assert len(calls) - own == own + 1
+    assert calls[-1] == tower.ambient_dim
+
+
+def _claim_normal(monkeypatch, subspaces):
+    report = tower_mod.NormalityReport(True, True, True, True, True, {})
+    monkeypatch.setattr(tower_mod, "_check_normal", lambda tower, details: (report, subspaces))
+
+
+def test_symmetric_rep_rejects_labeled_subspaces_that_are_no_basis(monkeypatch):
+    tower, _ = fig2_tower_and_ids()
+    _claim_normal(monkeypatch, labeled_subspaces(tower))
+    with pytest.raises(InternalInconsistencyError):
+        build_symmetric_rep(tower)
+
+
+def test_symmetric_rep_rejects_generators_that_are_not_unitary(monkeypatch):
+    # a skewed, non-orthogonal labeled basis: B P_j B^-1 is still an
+    # involution, so only the unitarity check can catch it
+    tower = from_scs(prototypical(3))
+    subspaces = labeled_subspaces(tower)
+    first, second = list(subspaces)[:2]
+    subspaces[second] = [tuple(x + y for x, y in zip(subspaces[first][0], subspaces[second][0]))]
+    _claim_normal(monkeypatch, subspaces)
+    with pytest.raises(InternalInconsistencyError, match="u_1 is not unitary"):
+        build_symmetric_rep(tower)
+
