@@ -10,6 +10,10 @@ coboundary dimensions are rank computations, where a floating tolerance could
 manufacture or destroy cohomology.  The coboundary entries are small sign
 sums, so they are summed as ``int``s and d^{n+1} d^n = 0 is checked on sparse
 integer columns; each matrix is then built once, with Fraction entries.
+Each d^n is eliminated once, fraction-free, on its integer rows
+(``Matrix._pivots_and_kernel`` in ``linalg``): the kernel vectors span Z^n
+and the columns at the pivots span B^{n+1}.  Both stay primitive ``int``
+lists until the report writes them as strings.
 
 Levels -1..N-1 of a level-N truncation carry full information (both the
 kernel of d^k and the image of d^{k-1} are computable); at level N only the
@@ -20,16 +24,9 @@ kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .linalg import (
-    Matrix,
-    primitive,
-    subspace_equal,
-    subspace_intersection,
-    subspace_leq,
-)
+from .linalg import Matrix, _primitive_ints, primitive, subspace_equal, subspace_leq
 from .scs import CheckReport, Report, TruncatedSCS
 
 
@@ -132,31 +129,40 @@ class CohomologyReport(Report):
         raise KeyError(k)
 
 
-def _basis_vectors(mat: Matrix):
-    return [list(map(str, primitive(col))) for col in mat.columns()]
+def _solved(mat: Matrix) -> tuple:
+    """(image basis, kernel basis) of one coboundary from one elimination:
+    the primitive integer columns at its pivots and its primitive integer
+    kernel vectors."""
+    pivots, kernel = mat._pivots_and_kernel()
+    return [_primitive_ints(mat.column(j)) for j in pivots], kernel
+
+
+def _strings(vectors) -> list:
+    return [list(map(str, v)) for v in vectors]
 
 
 def cohomology(cx: CochainComplex) -> CohomologyReport:
     """Exact cocycle/coboundary/cohomology dimensions with rational bases."""
     N = cx.max_level
+    solved = {n: _solved(cx.coboundary(n)) for n in range(-2, N)}
     levels = []
     caveats = []
     for k in range(-1, N + 1):
         dim = len(cx.basis(k))
-        bound = cx.coboundary(k - 1).column_space_basis()
+        bound = solved[k - 1][0]
         if k <= N - 1:
-            cyc = cx.coboundary(k).kernel()
-            if not subspace_leq(bound.columns(), cyc.columns()):
+            cyc = solved[k][1]
+            if not subspace_leq(bound, cyc):
                 raise InternalInconsistencyError(f"coboundaries not inside cocycles at level {k}")
             entry = LevelCohomology(
                 level=k,
                 dim_space=dim,
-                dim_cocycles=cyc.ncols,
-                dim_coboundaries=bound.ncols,
-                dim_cohomology=cyc.ncols - bound.ncols,
+                dim_cocycles=len(cyc),
+                dim_coboundaries=len(bound),
+                dim_cohomology=len(cyc) - len(bound),
                 kernel_known=True,
-                cocycle_basis=_basis_vectors(cyc),
-                coboundary_basis=_basis_vectors(bound),
+                cocycle_basis=_strings(cyc),
+                coboundary_basis=_strings(bound),
             )
         else:
             caveats.append(
@@ -167,11 +173,11 @@ def cohomology(cx: CochainComplex) -> CohomologyReport:
                 level=k,
                 dim_space=dim,
                 dim_cocycles=None,
-                dim_coboundaries=bound.ncols,
+                dim_coboundaries=len(bound),
                 dim_cohomology=None,
                 kernel_known=False,
                 cocycle_basis=[],
-                coboundary_basis=_basis_vectors(bound),
+                coboundary_basis=_strings(bound),
             )
         levels.append(entry)
     return CohomologyReport(levels, caveats)
@@ -224,12 +230,29 @@ def explicit_cocycles(scs: TruncatedSCS, k: int, cx: CochainComplex | None = Non
             for x, c in vec.items():
                 col[index[x]] = c
             vectors.append(primitive(tuple(col)))
-    kernel = cx.coboundary(k).kernel().columns()
-    if not subspace_equal(vectors, kernel):
+    if not subspace_equal(vectors, cx.coboundary(k)._pivots_and_kernel()[1]):
         raise InternalInconsistencyError(
             f"closed-form cocycles at level {k} do not span the elimination kernel"
         )
     return vectors
+
+
+def _meet_prefix(vectors, m: int) -> list:
+    """Vectors spanning span(vectors) ∩ the first m coordinates, written on
+    those m coordinates: V c for each kernel vector c of the rows of V past
+    the first m, V having the given vectors as columns."""
+    if not vectors:
+        return []
+    tail = Matrix.from_columns([v[m:] for v in vectors], nrows=len(vectors[0]) - m)
+    out = []
+    for c in tail._pivots_and_kernel()[1]:
+        w = [0] * m
+        for a, v in zip(c, vectors):
+            if a:
+                for i in range(m):
+                    w[i] += a * v[i]
+        out.append(w)
+    return out
 
 
 def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
@@ -239,36 +262,41 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
     are coboundaries there; the two-step identity d^k(x) = x - d^{l-1}(x) or
     d^{l-1}(x) for x at level l (parity of k-l); stability of cocycles two
     levels up; and the fixed-point description x = d^{k-1}(x) of cocycles.
+
+    The bases are level-ordered, so each lower cochain space is a coordinate
+    prefix of the next, and the cocycles and coboundaries are met with it
+    there.  Each d^n(e_x) is evaluated once per call.
     """
     N = scs.max_level
     cx = build_complex(scs)
     report = CheckReport()
+    images = {}
 
-    def embed(vec_cols, dst_level):
-        """Coefficient vectors over a lower basis written over basis(dst): the
-        bases are level-ordered, so each lower basis is a prefix of the next."""
-        size = len(cx.basis(dst_level))
-        return [tuple(col) + (Fraction(0),) * (size - len(col)) for col in vec_cols]
+    def image(n: int, x) -> dict:
+        """d^n(e_x) as {element: coefficient}."""
+        if (n, x) not in images:
+            images[n, x] = extended_coboundary(scs, n, {x: 1})
+        return images[n, x]
 
-    cocycles = {k: cx.coboundary(k).kernel().columns() for k in range(0, N)}
+    solved = {n: _solved(cx.coboundary(n)) for n in range(-1, N)}
+    cocycles = {k: solved[k][1] for k in range(0, N)}
     for k in range(0, N):
         Z_k = cocycles[k]
-        B_k = cx.coboundary(k - 1).column_space_basis().columns()
-        # the lower cochain space sits inside the level-k one on coordinates
-        lower_cols = embed(Matrix.identity(len(cx.basis(k - 1))).columns(), k)
-        zc = subspace_intersection(Z_k, lower_cols)
-        bc = subspace_intersection(B_k, lower_cols)
+        m = len(cx.basis(k - 1))
         report.record(
             "cocycles-meet-lower-equals-coboundaries-meet-lower",
             {"level": k},
-            subspace_equal(zc, bc),
+            subspace_equal(_meet_prefix(Z_k, m), _meet_prefix(solved[k - 1][0], m)),
         )
         # fixed-point description of cocycles: x in ker d^k iff x = d^{k-1} x
         ok_fp = True
         for col in Z_k:
             vec = {x: c for x, c in zip(cx.basis(k), col) if c}
-            img = extended_coboundary(scs, k - 1, vec)
-            if img != vec:
+            img = {}
+            for x, c in vec.items():
+                for y, a in image(k - 1, x).items():
+                    img[y] = img.get(y, 0) + c * a
+            if {y: c for y, c in img.items() if c} != vec:
                 ok_fp = False
         report.record("cocycles-are-coboundary-fixed-points", {"level": k}, ok_fp)
 
@@ -279,11 +307,10 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
             for x in cx.basis(l):
                 if scs.levels[x] > N - 1:
                     continue
-                vec = {x: 1}
-                lhs = extended_coboundary(scs, k, vec)
-                low = extended_coboundary(scs, l - 1, vec)
+                lhs = image(k, x)
+                low = image(l - 1, x)
                 if (k - l) % 2 == 0:
-                    rhs = dict(vec)
+                    rhs = {x: 1}
                     for y, c in low.items():
                         rhs[y] = rhs.get(y, 0) - c
                     rhs = {y: c for y, c in rhs.items() if c}
@@ -295,9 +322,7 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
 
     # cocycles two levels up restrict to the same cocycles
     for k in range(0, N - 2):
-        lower_cols = embed(Matrix.identity(len(cx.basis(k))).columns(), k + 2)
-        meet = subspace_intersection(cocycles[k + 2], lower_cols)
-        lifted = embed(cocycles[k], k + 2)
-        report.record("cocycle-stability-two-up", {"level": k}, subspace_equal(meet, lifted))
+        meet = _meet_prefix(cocycles[k + 2], len(cx.basis(k)))
+        report.record("cocycle-stability-two-up", {"level": k}, subspace_equal(meet, cocycles[k]))
 
     return report

@@ -18,10 +18,16 @@ Determinism conventions used throughout the package:
   divides each row by its pivot at the end, giving the reduced row echelon
   form, which is unique for a given row space; kernel, solve and inverse read
   their answers off it;
+* a matrix is eliminated by feeding ``Echelon`` its cached integer rows
+  (``Matrix._echelon``): ``rank`` and ``independent_columns`` read the
+  pivots, and ``Matrix._pivots_and_kernel`` is the one routine that reads
+  the pivot columns and the primitive integer kernel vectors off one
+  ``reduced`` pass, before any division; ``kernel`` is its Fraction view,
+  and the cohomology layer calls it directly;
 * kernel bases set one free variable to 1 in ascending index order, and
   ``solve`` sets every free variable to 0;
-* intersections, orthogonal complements and fixed vectors are the images
-  B x of those kernel vectors x, each rescaled by ``primitive``;
+* orthogonal complements and fixed vectors are the images B x of those
+  kernel vectors x, each rescaled by ``primitive``;
 * Gram-Schmidt processes vectors in the given order and keeps unnormalized
   vectors, rescaled to primitive integer form with positive leading entry.
 
@@ -32,7 +38,8 @@ Matrices are built with ``from_entries``, ``from_columns``, ``zeros`` and
 
 A matrix caches the ``_ints`` form of its rows in the ``_int_rows`` slot:
 ``None`` when built, filled from ``rows`` the first time the matrix is a
-product operand, then only read.  So ``rows`` is written only before first
+product operand or is eliminated, then only read; it is both the product
+input and the elimination input.  So ``rows`` is written only before first
 use, or the cache goes stale: ``from_entries`` writes into a fresh ``zeros``,
 and so does the benchmark's ``_diag`` (``bench/workloads.py``).
 """
@@ -40,7 +47,7 @@ and so does the benchmark's ``_diag`` (``bench/workloads.py``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 Vector = tuple  # tuple of Fraction
@@ -61,8 +68,8 @@ def _ints(v):
     Each entry is read once, through the ``_numerator`` and ``_denominator``
     slots of ``Fraction``: the public properties are a method call each, and
     on the 0/1 matrices of integer towers that call costs more than the
-    integer arithmetic it feeds.  Entries that are not Fractions (ints passed
-    in by a caller) are converted first.
+    integer arithmetic it feeds.  A sequence of ``int``s is read as it is;
+    other entries that are not Fractions are converted first.
     """
     try:
         nonzero = []
@@ -75,6 +82,8 @@ def _ints(v):
                     den = den // gcd(den, d) * d
                 nonzero.append((j, n, d))
     except AttributeError:
+        if all(type(x) is int for x in v):
+            return [(j, x) for j, x in enumerate(v) if x], 1
         return _ints([_frac(x) for x in v])
     if den == 1:
         return [(j, n) for j, n, _ in nonzero], 1
@@ -223,7 +232,8 @@ class Matrix:
 
     def _int_form(self) -> list:
         """``_ints`` of each row, computed the first time the matrix is a
-        product operand and kept; shared, so read it and never write it."""
+        product operand or is eliminated, and kept; shared, so read it and
+        never write it."""
         if self._int_rows is None:
             self._int_rows = [_ints(row) for row in self.rows]
         return self._int_rows
@@ -271,29 +281,57 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
+    def _echelon(self) -> Echelon:
+        """``Echelon`` of the rows, fed their cached integer form: a row
+        scaled by a positive integer spans the same line, so the pivots and
+        the reduced row echelon form are those of the rows themselves."""
+        ech = Echelon()
+        for pairs, _ in self._int_form():
+            ech._keep(_eliminate(_dense(pairs, self.ncols), ech._rows))
+        return ech
+
+    def _pivots_and_kernel(self) -> tuple:
+        """(pivot columns, kernel vectors) from one elimination of the
+        integer rows and one ``reduced`` pass.
+
+        The pivot columns, ascending, are those of the reduced row echelon
+        form R, which are the greedy first-come independent columns.  There
+        is one kernel vector per free column f, ascending: x[f] = 1 and
+        x[p] = -R[p, f] at each pivot p, rescaled to a primitive list of
+        ``int``s (coprime, first nonzero entry positive)."""
+        n = self.ncols
+        R = self._echelon()._rref(n)
+        pivots = [c for c, _ in R]
+        taken = set(pivots)
+        kernel = []
+        for f in range(n):
+            if f in taken:
+                continue
+            hits = [(c, row) for c, row in R if row[f]]
+            scale = lcm(*(row[c] for c, row in hits))
+            x = [0] * n
+            x[f] = scale
+            for c, row in hits:
+                x[c] = -row[f] * (scale // row[c])
+            g = _content(x)
+            kernel.append([a // g for a in x])
+        return pivots, kernel
+
     def rank(self):
-        return len(Echelon(self.rows))
+        return len(self._echelon())
 
     def kernel(self):
-        """Columns form a deterministic basis of the null space."""
-        R = Echelon(self.rows).reduced(self.ncols)
-        pivots = {pc for pc, _ in R}
-        cols = []
-        for fc in range(self.ncols):
-            if fc in pivots:
-                continue
-            v = [_F0] * self.ncols
-            v[fc] = _F1
-            for pc, row in R:
-                v[pc] = -row[fc]
-            cols.append(tuple(v))
+        """Columns form a deterministic basis of the null space: the
+        ``_pivots_and_kernel`` vectors, each divided by its free entry."""
+        pivots, kernel = self._pivots_and_kernel()
+        free = sorted(set(range(self.ncols)).difference(pivots))
+        cols = [_fractions(x, x[f]) for f, x in zip(free, kernel)]
         return Matrix.from_columns(cols, nrows=self.ncols)
 
     def independent_columns(self):
         """Indices of a greedy (first-come) maximal independent column set;
         they are the pivot columns of the reduced row echelon form."""
-        ech = Echelon()
-        return tuple(j for j, col in enumerate(zip(*self.rows)) if ech.add(col))
+        return tuple(sorted(c for c, _, _ in self._echelon()._rows))
 
     def column_space_basis(self):
         return Matrix.from_columns([self.column(j) for j in self.independent_columns()], nrows=self.nrows)
@@ -362,14 +400,18 @@ def is_zero_vector(v):
 
 def primitive(v) -> Vector:
     """Rescale to a coprime integer vector whose first nonzero entry is positive."""
-    v = tuple(v)
+    return tuple(_fractions(_primitive_ints(tuple(v)), 1))
+
+
+def _primitive_ints(v) -> list:
+    """``primitive(v)`` as a dense list of ``int``s."""
     pairs, _ = _ints(v)
-    out = [_F0] * len(v)
+    out = [0] * len(v)
     if pairs:
         g = _content([x for _, x in pairs])
         for j, x in pairs:
-            out[j] = Fraction(x // g)
-    return tuple(out)
+            out[j] = x // g
+    return out
 
 
 # -- subspace utilities ------------------------------------------------------
@@ -408,7 +450,11 @@ class Echelon:
 
     def add(self, v) -> bool:
         """Store ``v`` and return True when it is independent of the rows."""
-        work = self._reduce(v)
+        return self._keep(self._reduce(v))
+
+    def _keep(self, work) -> bool:
+        """Store the dense integer row ``work``, already reduced against the
+        rows, when it is nonzero, and return whether it was."""
         for c, p in enumerate(work):
             if p:
                 g = _content(work)
@@ -423,11 +469,15 @@ class Echelon:
 
     def reduced(self, ncols) -> list:
         """Reduced row echelon form of the rows, ``ncols`` wide: (pivot
-        column, dense row of Fractions) pairs in pivot order.
+        column, dense row of Fractions) pairs in pivot order."""
+        return [(c, _fractions(row, row[c])) for c, row in self._rref(ncols)]
+
+    def _rref(self, ncols) -> list:
+        """``reduced`` before the division: (pivot column, dense primitive
+        integer row with a positive pivot) pairs in pivot order.
 
         A stored row is already zero at the pivots of the rows stored before
-        it, so back-substituting from the last row up clears the rest; each
-        row stays a primitive integer row until it is divided by its pivot.
+        it, so back-substituting from the last row up clears the rest.
         """
         done = []
         out = []
@@ -436,7 +486,7 @@ class Echelon:
             g = _content(row)
             row = [x // g for x in row]
             done.append((c, row[c], [(j, x) for j, x in enumerate(row) if x]))
-            out.append((c, _fractions(row, row[c])))
+            out.append((c, row))
         return sorted(out, key=lambda t: t[0])
 
 
@@ -489,18 +539,6 @@ def _kernel_image(M: Matrix, B: Matrix) -> list:
     ker = M.kernel()
     vectors = (primitive(B * ker.column(j)) for j in range(ker.ncols))
     return [v for v in vectors if not is_zero_vector(v)]
-
-
-def subspace_intersection(a_vectors, b_vectors):
-    """Basis of span(a) ∩ span(b): A x for the kernel vectors (x, y) of
-    [A | -B]."""
-    a = span_basis(a_vectors)
-    b = span_basis(b_vectors)
-    if not a or not b:
-        return []
-    stacked = Matrix.from_columns(a + [vec_scale(-1, v) for v in b])
-    A_0 = Matrix.from_columns(a).hstack(Matrix.zeros(len(a[0]), len(b)))
-    return span_basis(_kernel_image(stacked, A_0))
 
 
 def orthogonal_complement_within(perp_to, within):

@@ -5,7 +5,11 @@ rational coordinate space, together with shift matrices α_0..α_{N-1} that act
 isometrically on H_{N-1}, satisfy the exchange relations α_j α_i = α_i α_{j-1}
 (i < j) where both sides are defined, map each H_k into H_{k+1}, and fix
 H_{n-1} pointwise (for α_n).  Ambient coordinates are assumed orthonormal, so
-adjoints are transposes; level bases may be arbitrary rational spanning sets.
+adjoints are transposes.  Level bases are rational and need not be
+orthogonal, but their columns must be independent, as the JSON loader
+demands.  ``check_tower`` does not test this; ``check_normal``, and everything
+built on it, inverts the Gram matrix of each level below the top and raises
+``PreconditionError`` naming the first level where that fails.
 
 On top of the raw structure this module computes innovation subspaces, fixed
 spaces of shifts (replacing ergodic averaging by exact kernel computations),
@@ -23,6 +27,7 @@ so all of them need one inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     InternalInconsistencyError,
@@ -339,7 +344,12 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
         D_i -> B would need D_iᵀ D_i, which equals BᵀB only on towers that
         pass the isometry check."""
         B = tower.basis(n - 1)
-        P = B * (B.transpose() * B).inverse()
+        G = B.transpose() * B
+        try:
+            G_inv = G.inverse()
+        except ValueError:
+            raise PreconditionError(f"the level-{n - 1} basis has dependent columns") from None
+        P = B * G_inv
         return [P * push(i, n, B).transpose() for i in range(n + 1)]
 
     ok_c = True
@@ -372,9 +382,14 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
     subspaces = labeled_subspaces(tower, innov=innov)
     ok_e = True
     labs = sorted(subspaces, key=lambda l: l.sort_key())
+    # one Gram matrix of the labeled basis, whose columns spans[a] are label a's
+    W = Matrix.from_columns([v for lab in labs for v in subspaces[lab]], nrows=tower.ambient_dim)
+    G = W.transpose() * W
+    offsets = [0, *accumulate(len(subspaces[lab]) for lab in labs)]
+    spans = [range(a, b) for a, b in zip(offsets, offsets[1:])]
     for a_idx in range(len(labs)):
         for b_idx in range(a_idx + 1, len(labs)):
-            if not orthogonal(subspaces[labs[a_idx]], subspaces[labs[b_idx]]):
+            if any(G[r, c] for r in spans[a_idx] for c in spans[b_idx]):
                 ok_e = False
                 info.setdefault(
                     "overlap_witness",

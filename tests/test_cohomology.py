@@ -1,11 +1,16 @@
 """Exact cochain cohomology: worked examples and identity suites."""
 
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from cosimplex.cohomology import (
+    CochainComplex,
+    CohomologyReport,
+    LevelCohomology,
     build_complex,
     check_cocycle_identities,
     cohomology,
@@ -15,7 +20,7 @@ from cosimplex.cohomology import (
 from cosimplex.errors import InternalInconsistencyError, PreconditionError, TruncationError
 from cosimplex.fixtures import example2_scs, figure2_scs, layered_scs
 from cosimplex.linalg import Matrix, primitive, subspace_equal
-from cosimplex.scs import TruncatedSCS, from_ell, prototypical
+from cosimplex.scs import CheckReport, TruncatedSCS, from_ell, prototypical
 
 
 def random_valid_ell(rng, N):
@@ -246,3 +251,281 @@ def test_report_flags_top_level():
     assert not top.kernel_known
     assert top.dim_cohomology is None
     assert report.truncation_caveats
+
+
+# -- the Fraction-level reference, on an independent elimination ---------------------
+#
+# ``cohomology`` and ``check_cocycle_identities`` as they were before each
+# coboundary was eliminated once on its integer rows: every kernel, column
+# basis, intersection and span test here is a dense Fraction Gauss-Jordan
+# elimination, and every d^n(e_x) is evaluated where it is used.
+
+
+def _gauss_jordan(rows, ncols):
+    """(reduced row echelon rows, pivot columns) of dense Fraction rows."""
+    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        if m[r][c] != 1:
+            m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _ref_kernel(mat):
+    R, pivots = _gauss_jordan([mat.row(i) for i in range(mat.nrows)], mat.ncols)
+    out = []
+    for f in range(mat.ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * mat.ncols
+            v[f] = Fraction(1)
+            for row, p in zip(R, pivots):
+                v[p] = -row[f]
+            out.append(tuple(v))
+    return out
+
+
+def _ref_column_basis(mat):
+    _, pivots = _gauss_jordan([mat.row(i) for i in range(mat.nrows)], mat.ncols)
+    return [mat.column(j) for j in pivots]
+
+
+def _ref_rank(vectors):
+    return len(_gauss_jordan(vectors, len(vectors[0]))[1]) if vectors else 0
+
+
+def _ref_leq(a, b):
+    return _ref_rank(list(b)) == _ref_rank(list(a) + list(b))
+
+
+def _ref_equal(a, b):
+    return _ref_leq(a, b) and _ref_leq(b, a)
+
+
+def _ref_intersection(a, b):
+    """A x for the kernel vectors (x, y) of [A | -B]."""
+    if not a or not b:
+        return []
+    stacked = Matrix.from_columns(list(a) + [tuple(-x for x in v) for v in b])
+    return [
+        tuple(sum(x[j] * a[j][i] for j in range(len(a))) for i in range(len(a[0])))
+        for x in _ref_kernel(stacked)
+    ]
+
+
+def _ref_primitive_strings(v):
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    if g and next(x for x in ints if x) < 0:
+        g = -g
+    return [str(x // g) if g else "0" for x in ints]
+
+
+def reference_cohomology(cx):
+    N = cx.max_level
+    levels, caveats = [], []
+    for k in range(-1, N + 1):
+        dim = len(cx.basis(k))
+        bound = _ref_column_basis(cx.coboundary(k - 1))
+        if k <= N - 1:
+            cyc = _ref_kernel(cx.coboundary(k))
+            if not _ref_leq(bound, cyc):
+                raise InternalInconsistencyError(f"coboundaries not inside cocycles at level {k}")
+            entry = LevelCohomology(k, dim, len(cyc), len(bound), len(cyc) - len(bound), True,
+                                    [_ref_primitive_strings(v) for v in cyc],
+                                    [_ref_primitive_strings(v) for v in bound])
+        else:
+            caveats.append(
+                f"level {k}: kernel of d^{k} needs data beyond the truncation; coboundaries only"
+            )
+            entry = LevelCohomology(k, dim, None, len(bound), None, False, [],
+                                    [_ref_primitive_strings(v) for v in bound])
+        levels.append(entry)
+    return CohomologyReport(levels, caveats)
+
+
+def reference_identities(scs):
+    N = scs.max_level
+    cx = build_complex(scs)
+    report = CheckReport()
+
+    def embed(vectors, dst_level):
+        size = len(cx.basis(dst_level))
+        return [tuple(v) + (Fraction(0),) * (size - len(v)) for v in vectors]
+
+    def lower(src_level, dst_level):
+        n = len(cx.basis(src_level))
+        return embed([tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)], dst_level)
+
+    cocycles = {k: _ref_kernel(cx.coboundary(k)) for k in range(0, N)}
+    for k in range(0, N):
+        Z_k = cocycles[k]
+        B_k = _ref_column_basis(cx.coboundary(k - 1))
+        lower_cols = lower(k - 1, k)
+        report.record(
+            "cocycles-meet-lower-equals-coboundaries-meet-lower",
+            {"level": k},
+            _ref_equal(_ref_intersection(Z_k, lower_cols), _ref_intersection(B_k, lower_cols)),
+        )
+        ok_fp = True
+        for col in Z_k:
+            vec = {x: c for x, c in zip(cx.basis(k), col) if c}
+            if extended_coboundary(scs, k - 1, vec) != vec:
+                ok_fp = False
+        report.record("cocycles-are-coboundary-fixed-points", {"level": k}, ok_fp)
+    for k in range(-1, N):
+        for l in range(-1, k + 1):
+            ok = True
+            for x in cx.basis(l):
+                if scs.levels[x] > N - 1:
+                    continue
+                vec = {x: 1}
+                lhs = extended_coboundary(scs, k, vec)
+                low = extended_coboundary(scs, l - 1, vec)
+                if (k - l) % 2 == 0:
+                    rhs = dict(vec)
+                    for y, c in low.items():
+                        rhs[y] = rhs.get(y, 0) - c
+                    rhs = {y: c for y, c in rhs.items() if c}
+                else:
+                    rhs = low
+                if lhs != rhs:
+                    ok = False
+            report.record("two-step-coboundary", {"k": k, "l": l}, ok)
+    for k in range(0, N - 2):
+        meet = _ref_intersection(cocycles[k + 2], lower(k, k + 2))
+        report.record(
+            "cocycle-stability-two-up", {"level": k}, _ref_equal(meet, embed(cocycles[k], k + 2))
+        )
+    return report
+
+
+def _outcome(f, *args):
+    """The JSON of the report, or the type and message of the error raised."""
+    try:
+        return json.dumps(f(*args).to_dict())
+    except Exception as err:  # compared, not swallowed
+        return (type(err).__name__, str(err))
+
+
+def _oracle_structures():
+    rng = random.Random(2201)
+    cases = [prototypical(N) for N in range(1, 31)]
+    cases += [from_ell(random_valid_ell(rng, N), N) for N in [rng.randint(0, 9) for _ in range(110)]]
+    cases += [example2_scs(N) for N in (4, 5, 6)] + [figure2_scs()]
+    cases += [layered_scs(d, N) for d, N in (([1, 1, 1], 5), ([0, 2, 1, 1], 4), ([1, 2], 4), ([2, 0, 1], 4))]
+    cases += [TruncatedSCS(2, {}, ({}, {}))]
+    return cases
+
+
+def test_cohomology_equals_the_fraction_reference():
+    for scs in _oracle_structures():
+        cx = build_complex(scs)
+        assert _outcome(cohomology, cx) == _outcome(reference_cohomology, cx)
+
+
+def test_cocycle_identities_equal_the_fraction_reference():
+    for scs in _oracle_structures():
+        if scs.max_level <= 14:  # the reference identities grow steeply with N
+            assert _outcome(check_cocycle_identities, scs) == _outcome(reference_identities, scs)
+
+
+def _rational_change_of_basis(rng, n):
+    """An invertible upper triangular matrix with small non-integer entries."""
+    entries = {(i, i): Fraction(rng.choice([1, 2, 3, -2]), rng.choice([1, 3, 5])) for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                entries[i, j] = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 7]))
+    return Matrix.from_entries(n, n, entries)
+
+
+def test_cohomology_on_rational_coboundaries_equals_the_fraction_reference():
+    # d^n -> P_{n+1} d^n P_n^-1 keeps d d = 0 and gives entries with
+    # denominators; a random matrix in place of one d^n breaks d d = 0, so
+    # the self-check raises in both
+    rng = random.Random(2202)
+    verdicts = []
+    denominators = 0
+    for t in range(60):
+        N = rng.randint(1, 6)
+        cx = build_complex(from_ell(random_valid_ell(rng, N), N))
+        P = {n: _rational_change_of_basis(rng, len(cx.basis(n))) for n in range(-1, N + 1)}
+        matrices = {n: P[n + 1] * M * P[n].inverse() for n, M in cx.matrices.items()}
+        if t % 4 == 3:
+            n = rng.randrange(-1, N)
+            M = matrices[n]
+            matrices[n] = Matrix.from_entries(
+                M.nrows, M.ncols,
+                {(i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for i in range(M.nrows) for j in range(M.ncols)},
+            )
+        rational = CochainComplex(N, cx.bases, matrices)
+        outcome = _outcome(cohomology, rational)
+        assert outcome == _outcome(reference_cohomology, rational)
+        verdicts.append(type(outcome) is str)
+        denominators += any(M[i, j].denominator > 1 for M in matrices.values()
+                            for i in range(M.nrows) for j in range(M.ncols))
+    assert set(verdicts) == {True, False}
+    assert denominators >= 30
+
+
+def _mutants(rng, count):
+    """Structures with one or two shift entries sent to another element, kept
+    when ``build_complex`` accepts them.  Half the replacements move a fixed
+    point of the shift one level up, which keeps d d = 0 more often than a
+    uniform target but breaks the fixed-point identities."""
+    bases = [prototypical(N) for N in (3, 4, 5)] + [example2_scs(5), figure2_scs()]
+    bases += [layered_scs([1, 1, 1], 4), layered_scs([0, 2, 1], 4)]
+    out = []
+    while len(out) < count:
+        N = rng.randint(2, 5)
+        scs = rng.choice(bases + [from_ell(random_valid_ell(rng, N), N)])
+        shifts = [dict(m) for m in scs.shifts]
+        stored = [i for i, m in enumerate(shifts) if m]
+        if not stored:
+            continue
+        for _ in range(rng.randint(1, 2)):
+            i = rng.choice(stored)
+            x = rng.choice(sorted(shifts[i]))
+            up = [y for y, lv in scs.levels.items() if lv == scs.levels[x] + 1]
+            if shifts[i][x] == x and up and rng.random() < 0.5:
+                shifts[i][x] = rng.choice(sorted(up))
+            else:
+                shifts[i][x] = rng.choice(sorted(scs.levels))
+        mutant = TruncatedSCS(scs.max_level, dict(scs.levels), tuple(shifts))
+        try:
+            build_complex(mutant)
+        except (KeyError, InternalInconsistencyError):  # a target off the next level, or d d != 0
+            continue
+        out.append(mutant)
+    return out
+
+
+def test_identities_on_mutated_shifts_equal_the_fraction_reference():
+    failed = set()
+    for mutant in _mutants(random.Random(2203), 250):
+        outcome = _outcome(check_cocycle_identities, mutant)
+        assert outcome == _outcome(reference_identities, mutant)
+        cx = build_complex(mutant)
+        assert _outcome(cohomology, cx) == _outcome(reference_cohomology, cx)
+        if type(outcome) is str:
+            failed.update(f["check"] for f in json.loads(outcome)["failures"])
+    # every kind of identity fails on some mutant
+    assert failed == {
+        "cocycles-meet-lower-equals-coboundaries-meet-lower",
+        "cocycles-are-coboundary-fixed-points",
+        "two-step-coboundary",
+        "cocycle-stability-two-up",
+    }

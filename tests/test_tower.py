@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cosimplex.errors import InternalInconsistencyError, NotNormalError
+from cosimplex.errors import InternalInconsistencyError, NotNormalError, PreconditionError
 from cosimplex import tower as tower_mod
 from cosimplex.fixtures import (
     ell2_tower,
@@ -688,3 +688,15 @@ def test_symmetric_rep_rejects_generators_that_are_not_unitary(monkeypatch):
     with pytest.raises(InternalInconsistencyError, match="u_1 is not unitary"):
         build_symmetric_rep(tower)
 
+
+
+def test_a_dependent_level_basis_is_a_precondition_error():
+    # H_1 = span(e0, e1) given by e0, e1, e0 + e1: check_tower cannot tell,
+    # the Gram inverse of level 1 fails
+    tower = from_scs(prototypical(2))
+    spanning = Matrix.from_columns([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    dependent = replace(tower, level_bases=tower.level_bases[:2] + [spanning] + tower.level_bases[3:])
+    assert check_tower(dependent).to_dict() == check_tower(tower).to_dict()
+    for analysis in (check_normal, build_symmetric_rep, lambda t: unitary_equivalence(t, tower)):
+        with pytest.raises(PreconditionError, match="^the level-1 basis has dependent columns$"):
+            analysis(dependent)
