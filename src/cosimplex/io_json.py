@@ -232,12 +232,16 @@ def family_to_dict(family: SpreadableFamily) -> dict:
 
 
 def family_from_dict(data: dict) -> SpreadableFamily:
+    from .linalg import is_psd
     from .spread import SpreadableFamily
     try:
         k = _at_least(data, "k_dim", 0)
         dim = _at_least(data, "ambient_dim", 0)
         isometries = [_sized(m, dim, k, f"isometry {n}") for n, m in enumerate(data["isometries"])]
         gram = _sized(data["gram"], k, k, "gram") if "gram" in data else None
+        # is_psd tests symmetry too; full rank makes it positive definite
+        if gram is not None and not (is_psd(gram) and gram.rank() == k):
+            raise FormatError("gram is not symmetric positive definite")
         shifts = None
         if "ambient_shifts" in data:
             shifts = [

@@ -14,20 +14,27 @@ Determinism conventions used throughout the package:
   per independent vector, with the pivot on the first nonzero column, so each
   further vector is reduced once and never rescanned for pivots; rank,
   containment, subspace comparison and greedy column selection go through it;
-* ``Echelon.reduced`` back-substitutes the stored rows in integers and
-  divides each row by its pivot at the end, giving the reduced row echelon
-  form, which is unique for a given row space; kernel, solve and inverse read
-  their answers off it;
+* ``Echelon._rref`` back-substitutes the stored rows in integers, giving
+  the reduced row echelon form with each row scaled to primitive integers
+  and a positive pivot, which is unique for a given row space; kernel, solve
+  and inverse read their answers off it, and solve and inverse divide by the
+  pivot only in the columns they return;
 * a matrix is eliminated by feeding ``Echelon`` its cached integer rows
   (``Matrix._echelon``): ``rank`` and ``independent_columns`` read the
   pivots, and ``Matrix._pivots_and_kernel`` is the one routine that reads
   the pivot columns and the primitive integer kernel vectors off one
-  ``reduced`` pass, before any division; ``kernel`` is its Fraction view,
+  ``_rref`` pass, before any division; ``kernel`` is its Fraction view,
   and the cohomology layer calls it directly;
 * kernel bases set one free variable to 1 in ascending index order, and
   ``solve`` sets every free variable to 0;
-* orthogonal complements and fixed vectors are the images B x of those
-  kernel vectors x, each rescaled by ``primitive``;
+* fixed vectors and the complements the tower layer cuts out are the images
+  B x of those kernel vectors x (``_kernel_image``), each rescaled by
+  ``primitive``;
+* ``pseudo_inverse`` is the one routine here that inverts a Gram matrix:
+  for a basis B with independent columns it is B⁺ = (BᵀB)⁻¹Bᵀ, so the
+  partial isometry taking the columns of B to those of D, and zero on the
+  complement of span(B), is D B⁺, and the orthogonal projection onto
+  span(B) is B B⁺;
 * Gram-Schmidt processes vectors in the given order and keeps unnormalized
   vectors, rescaled to primitive integer form with positive leading entry.
 
@@ -292,7 +299,7 @@ class Matrix:
 
     def _pivots_and_kernel(self) -> tuple:
         """(pivot columns, kernel vectors) from one elimination of the
-        integer rows and one ``reduced`` pass.
+        integer rows and one ``_rref`` pass.
 
         The pivot columns, ascending, are those of the reduced row echelon
         form R, which are the greedy first-come independent columns.  There
@@ -343,22 +350,22 @@ class Matrix:
         """
         n = self.ncols
         aug = self.hstack(Matrix.from_columns([tuple(b)], nrows=self.nrows))
-        R = Echelon(aug.rows).reduced(n + 1)
+        R = aug._echelon()._rref(n + 1)
         if R and R[-1][0] == n:
             return None
         x = [_F0] * n
-        for pc, row in R:
-            x[pc] = row[n]
+        for c, row in R:
+            x[c] = _ratio(row[n], row[c])
         return tuple(x)
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("only square matrices have inverses")
         n = self.nrows
-        R = Echelon(self.hstack(Matrix.identity(n)).rows).reduced(2 * n)
-        if any(pc != i for i, (pc, _) in enumerate(R)):
+        R = self.hstack(Matrix.identity(n))._echelon()._rref(2 * n)
+        if any(c != i for i, (c, _) in enumerate(R)):
             raise ValueError("matrix is singular")
-        return Matrix._of([row[n:] for _, row in R], n)
+        return Matrix._of([_fractions(row[n:], row[c]) for c, row in R], n)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -387,15 +394,6 @@ def orthogonal(a_vectors, b_vectors) -> bool:
         if any(sum(dense[j] * x for j, x in w) for w in b):
             return False
     return True
-
-
-def vec_scale(c, u):
-    c = _frac(c)
-    return tuple(c * a for a in u)
-
-
-def is_zero_vector(v):
-    return all(x == 0 for x in v)
 
 
 def primitive(v) -> Vector:
@@ -467,14 +465,10 @@ class Echelon:
         """Whether ``v`` lies in the span of the rows."""
         return not any(self._reduce(v))
 
-    def reduced(self, ncols) -> list:
-        """Reduced row echelon form of the rows, ``ncols`` wide: (pivot
-        column, dense row of Fractions) pairs in pivot order."""
-        return [(c, _fractions(row, row[c])) for c, row in self._rref(ncols)]
-
     def _rref(self, ncols) -> list:
-        """``reduced`` before the division: (pivot column, dense primitive
-        integer row with a positive pivot) pairs in pivot order.
+        """Reduced row echelon form of the rows, ``ncols`` wide, before the
+        division by the pivots: (pivot column, dense primitive integer row
+        with a positive pivot) pairs in pivot order.
 
         A stored row is already zero at the pivots of the rows stored before
         it, so back-substituting from the last row up clears the rest.
@@ -538,19 +532,7 @@ def _kernel_image(M: Matrix, B: Matrix) -> list:
     """Nonzero primitive vectors B x, one per kernel column x of M."""
     ker = M.kernel()
     vectors = (primitive(B * ker.column(j)) for j in range(ker.ncols))
-    return [v for v in vectors if not is_zero_vector(v)]
-
-
-def orthogonal_complement_within(perp_to, within):
-    """Vectors of span(within) orthogonal to every vector of ``perp_to``."""
-    within_basis = span_basis(within)
-    if not within_basis:
-        return []
-    constraints = span_basis(perp_to)
-    if not constraints:
-        return within_basis
-    W = Matrix.from_columns(within_basis)
-    return _kernel_image(Matrix.from_columns(constraints).transpose() * W, W)
+    return [v for v in vectors if any(v)]
 
 
 def gram_schmidt(vectors):
@@ -578,22 +560,15 @@ def gram_schmidt(vectors):
     return [tuple(_fractions(u, 1)) for u, _ in done]
 
 
-def partial_isometry(src: Matrix, dst: Matrix) -> Matrix:
-    """The map dst (srcᵀ src)⁻¹ srcᵀ: column j of ``src`` goes to column j of
-    ``dst`` and the orthogonal complement of span(src) to zero.
+def pseudo_inverse(B: Matrix) -> Matrix:
+    """The Moore-Penrose pseudo-inverse B⁺ = (BᵀB)⁻¹Bᵀ of a basis ``B``.
 
-    ``src`` needs independent columns; with none it is the zero map.
+    ``B`` needs independent columns: dependent ones make the Gram matrix
+    singular, and its ``inverse`` raises ``ValueError``.  With no columns,
+    B⁺ is the 0 x n matrix, so D B⁺ and B B⁺ are zero maps.
     """
-    if src.ncols == 0:
-        return Matrix.zeros(dst.nrows, src.nrows)
-    G = src.transpose() * src
-    return dst * G.inverse() * src.transpose()
-
-
-def projection_matrix(basis_vectors, dim):
-    """Orthogonal projection onto span of the given ambient vectors."""
-    B = Matrix.from_columns(span_basis(basis_vectors), nrows=dim)
-    return partial_isometry(B, B)
+    Bt = B.transpose()
+    return (Bt * B).inverse() * Bt
 
 
 def fixed_vectors(A: Matrix, B: Matrix) -> list:
@@ -621,7 +596,7 @@ def try_orthonormal_basis(vectors):
         r = fraction_sqrt(dot(v, v))
         if r is None:
             return None
-        out.append(vec_scale(1 / r, v))
+        out.append(tuple(a / r for a in v))
     return out
 
 

@@ -27,11 +27,11 @@ from .errors import NotSpreadableError, PreconditionError
 from .linalg import (
     Matrix,
     char_poly,
+    fixed_vectors,
     fraction_sqrt,
     is_psd,
     is_symmetric,
-    partial_isometry,
-    projection_matrix,
+    pseudo_inverse,
     subspace_leq,
 )
 from .scs import Report
@@ -117,14 +117,17 @@ def _angle(family: SpreadableFamily, Q: Matrix | None) -> AngleReport:
     if Q is not None:
         Q_iota0 = Q * iotas[0]
         fixed_identity = adjoints[1] * Q_iota0 == raw and adjoints[0] * Q_iota0 == raw
-    C_op = G.inverse() * raw
-    return AngleReport(raw, C_op, positive, contraction, Fraction(0), fixed_identity)
+    try:
+        G_inv = G.inverse()
+    except ValueError:
+        raise PreconditionError("the Gram matrix of K is singular") from None
+    return AngleReport(raw, G_inv * raw, positive, contraction, Fraction(0), fixed_identity)
 
 
 def _fixed_projection(A: Matrix) -> Matrix:
     """Orthogonal projection onto the fixed space of an ambient shift."""
-    ker = (A - Matrix.identity(A.nrows)).kernel()
-    return projection_matrix(ker.columns(), A.nrows)
+    F = Matrix.from_columns(fixed_vectors(A, Matrix.identity(A.nrows)), nrows=A.nrows)
+    return F * pseudo_inverse(F)
 
 
 # -- construction from a positive contraction ----------------------------------------
@@ -217,21 +220,23 @@ def minimal_sch(family: SpreadableFamily) -> HilbertTower:
         chosen = [cols[p] for p in pivots if p < (l + 1) * k]
         level_bases.append(Matrix.from_columns(chosen, nrows=ambient))
     # shift n sends the copies ι_0..ι_{N-1} to ι_0..ι_{n-1}, ι_{n+1}..ι_N
+    images = [cols[: n * k] + cols[(n + 1) * k :] for n in range(N)]
+    shifts = family.ambient_shifts
+    if shifts is None:
+        # the partial isometry from the level-(N-1) basis B to the images of
+        # its columns: one B⁺ for every shift
+        pinv = pseudo_inverse(level_bases[N])
+        shifts = [
+            Matrix.from_columns([images[n][p] for p in pivots if p < N * k], nrows=ambient) * pinv
+            for n in range(N)
+        ]
     S = Matrix.from_columns(cols[: N * k], nrows=ambient)
-    shifts = []
     for n in range(N):
-        images = cols[: n * k] + cols[(n + 1) * k :]
-        if family.ambient_shifts is not None:
-            A = family.ambient_shifts[n]
-        else:
-            T = Matrix.from_columns([images[p] for p in pivots if p < N * k], nrows=ambient)
-            A = partial_isometry(level_bases[N], T)
-        if A * S != Matrix.from_columns(images, nrows=ambient):
+        if shifts[n] * S != Matrix.from_columns(images[n], nrows=ambient):
             raise NotSpreadableError(
                 f"shift {n} is inconsistent on the span: the family is not spreadable"
             )
-        shifts.append(A)
-    return HilbertTower(N, ambient, level_bases, shifts)
+    return HilbertTower(N, ambient, level_bases, list(shifts))
 
 
 def roundtrip_from_sch(tower: HilbertTower) -> SpreadableFamily:
@@ -392,10 +397,9 @@ def _verify_identity_intertwiner(fam_a, fam_b) -> bool:
         # different ambients: the Gram equality already certifies the unitary
         return True
     sel = Sa.independent_columns()
-    U = partial_isometry(
-        Matrix.from_columns([cols_a[j] for j in sel], nrows=fam_a.ambient_dim),
-        Matrix.from_columns([cols_b[j] for j in sel], nrows=fam_b.ambient_dim),
-    )
+    src = Matrix.from_columns([cols_a[j] for j in sel], nrows=fam_a.ambient_dim)
+    dst = Matrix.from_columns([cols_b[j] for j in sel], nrows=fam_b.ambient_dim)
+    U = dst * pseudo_inverse(src)
     return intertwines(U, minimal_sch(fam_a), minimal_sch(fam_b))
 
 

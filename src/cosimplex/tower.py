@@ -8,8 +8,8 @@ H_{n-1} pointwise (for α_n).  Ambient coordinates are assumed orthonormal, so
 adjoints are transposes.  Level bases are rational and need not be
 orthogonal, but their columns must be independent, as the JSON loader
 demands.  ``check_tower`` does not test this; ``check_normal``, and everything
-built on it, inverts the Gram matrix of each level below the top and raises
-``PreconditionError`` naming the first level where that fails.
+built on it, takes the pseudo-inverse of each level basis below the top and
+raises ``PreconditionError`` naming the first level where that fails.
 
 On top of the raw structure this module computes innovation subspaces, fixed
 spaces of shifts (replacing ergodic averaging by exact kernel computations),
@@ -17,11 +17,13 @@ labeled subspaces, the three equivalent normality criteria, the unitary
 generators of the induced symmetric-group action on a normal tower, and the
 factorization checks for towers presented by localized unitaries.
 
-The normality criteria invert one Gram matrix per level: every coface
-adjoint into H_k is B (BᵀB)⁻¹ D_iᵀ for the basis B of H_{k-1} and
-D_i = δ_i B.  The generators come from the labeled basis, the
-columns of the labeled subspaces in label order: u_j permutes its columns,
-so all of them need one inverse.
+The normality criteria take one pseudo-inverse B⁺ = (BᵀB)⁻¹Bᵀ per level:
+every coface adjoint into H_k is (B⁺)ᵀ D_iᵀ for the basis B of H_{k-1} and
+D_i = δ_i B.  The projections onto fixed spaces are F F⁺ for a fixed basis
+F, and root spaces are kernel images inside the innovations.  The
+generators come from the labeled basis, the columns of the labeled
+subspaces in label order: u_j permutes its columns, so all of them need one
+inverse.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ from .errors import (
 from .labels import Label, enumerate_labels, insertion_sequence, transpose_action
 from .linalg import (
     Matrix,
+    _kernel_image,
     dot,
     fixed_vectors,
     gram_schmidt,
     orthogonal,
-    orthogonal_complement_within,
-    projection_matrix,
+    pseudo_inverse,
     span_basis,
     subspace_equal,
     subspace_leq,
@@ -236,7 +238,8 @@ def check_toy_definetti(tower: HilbertTower) -> CheckReport:
     # commutes past lower shifts one level down, tested on H_{N-2}
     if N >= 2:
         dom = tower.basis(N - 2)
-        projections = [projection_matrix(fix, tower.ambient_dim) for fix, _ in fixed]
+        bases = [Matrix.from_columns(fix, nrows=tower.ambient_dim) for fix, _ in fixed]
+        projections = [F * pseudo_inverse(F) for F in bases]
         for n in range(0, N - 1):
             for i in range(0, n + 1):
                 left = projections[n + 1] * (tower.alpha(i) * dom)
@@ -259,11 +262,11 @@ def _root_space(tower: HilbertTower, k: int, innov_k: list, innov_prev: list) ->
     """``root_space`` from the innovation bases of levels k and k - 1."""
     if k <= 0:
         return innov_k
-    shifted = []
-    for i in range(0, k):
-        for v in innov_prev:
-            shifted.append(tower.alpha(i) * v)
-    return orthogonal_complement_within(shifted, innov_k)
+    shifted = [tower.alpha(i) * v for i in range(0, k) for v in innov_prev]
+    # W x is orthogonal to every shifted copy exactly when x is in the kernel
+    # of the matrix whose rows are the shifted copies, times W
+    W = Matrix.from_columns(innov_k, nrows=tower.ambient_dim)
+    return _kernel_image(Matrix(shifted, ncols=tower.ambient_dim) * W, W)
 
 
 def _label_images(tower: HilbertTower, k: int, vectors):
@@ -338,18 +341,16 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
 
     def adjoints(n: int) -> list:
         """Adjoints of the cofaces into H_n, i = 0..n, as ambient matrices
-        P D_iᵀ, extended by zero off H_n: P = B (BᵀB)⁻¹ for the basis B of
-        H_{n-1}, and D_i = δ_i B, which is B for the inclusion i = n.
-        That is the transpose of the partial isometry B -> D_i; the one
-        D_i -> B would need D_iᵀ D_i, which equals BᵀB only on towers that
-        pass the isometry check."""
+        P D_iᵀ, extended by zero off H_n: P = (B⁺)ᵀ = B (BᵀB)⁻¹ for the
+        basis B of H_{n-1}, and D_i = δ_i B, which is B for the inclusion
+        i = n.  That is the transpose of the partial isometry D_i B⁺ from B
+        to D_i; the one D_i -> B would need D_iᵀ D_i, which equals BᵀB only
+        on towers that pass the isometry check."""
         B = tower.basis(n - 1)
-        G = B.transpose() * B
         try:
-            G_inv = G.inverse()
+            P = pseudo_inverse(B).transpose()
         except ValueError:
             raise PreconditionError(f"the level-{n - 1} basis has dependent columns") from None
-        P = B * G_inv
         return [P * push(i, n, B).transpose() for i in range(n + 1)]
 
     ok_c = True

@@ -337,6 +337,24 @@ def test_family_file_with_the_wrong_shapes_is_code_2(tmp_path, capsys, edit, mes
         assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("gram", [[["1", "0"], ["0", "0"]], [["1", "1"], ["0", "1"]]])
+def test_a_gram_that_is_not_positive_definite_is_code_2(tmp_path, capsys, gram):
+    # a singular Gram once crashed angle, theoremC and equiv with a traceback
+    # and passed minsch
+    iota = [["1", "0"], ["0", "0"]]
+    payload = {
+        "k_dim": 2,
+        "ambient_dim": 2,
+        "gram": gram,
+        "isometries": [iota, iota],
+        "ambient_shifts": [[["1", "0"], ["0", "1"]]],
+    }
+    path = write(tmp_path, "family.json", payload)
+    for argv in (["angle", path], ["theoremC", path], ["minsch", path], ["equiv", path, path]):
+        code, out, err = run(capsys, "spread", *argv)
+        assert (code, out, err) == (2, "", "input error: gram is not symmetric positive definite\n")
+
+
 # Prints, as JSON, the cosimplex modules loaded after `import cosimplex`, after
 # `import cosimplex.cli` and after running the command in argv, and whether
 # numpy was loaded after the import of the CLI.

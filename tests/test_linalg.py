@@ -1,5 +1,6 @@
-"""Exact linear algebra: the access surface of ``Matrix``, partial
-isometries, fixed vectors, column selection, the subspace tests, kernel, solve
+"""Exact linear algebra: the access surface of ``Matrix``, the
+pseudo-inverse and the partial isometries and projections built from it,
+fixed vectors, column selection, the subspace tests, kernel, solve
 and inverse against a dense Gauss-Jordan reference ``rref`` and the
 determinism conventions of the kernel basis; the integer kernels (products,
 ``dot``, ``gram_schmidt``, the fraction-free ``Echelon``) against dense
@@ -24,10 +25,8 @@ from cosimplex.linalg import (
     fixed_vectors,
     gram_schmidt,
     orthogonal,
-    orthogonal_complement_within,
-    partial_isometry,
     primitive,
-    projection_matrix,
+    pseudo_inverse,
     span_basis,
     subspace_contains,
     subspace_equal,
@@ -64,20 +63,27 @@ D = mat([[3, 0], [0, 1], [1, 1], [0, 2]])
 
 
 def test_partial_isometry_maps_src_onto_dst():
-    P = partial_isometry(B, D)
+    P = D * pseudo_inverse(B)
     assert P * B == D
-    for v in orthogonal_complement_within(B.columns(), Matrix.identity(4).columns()):
+    # the kernel of B^T is the orthogonal complement of span(B)
+    complement = B.transpose().kernel().columns()
+    assert len(complement) == 2
+    for v in complement:
         assert P * v == (F(0),) * 4
 
 
 def test_partial_isometry_of_a_basis_with_itself_is_the_projection():
-    assert partial_isometry(B, B) == projection_matrix(B.columns(), 4)
+    P = B * pseudo_inverse(B)
+    assert P * P == P and P.transpose() == P and P * B == B
+    for v in B.transpose().kernel().columns():
+        assert P * v == (F(0),) * 4
 
 
 def test_partial_isometry_of_an_empty_source_is_zero():
     src = Matrix.zeros(3, 0)
     dst = Matrix.zeros(5, 0)
-    P = partial_isometry(src, dst)
+    assert pseudo_inverse(src) == Matrix.zeros(0, 3)
+    P = dst * pseudo_inverse(src)
     assert (P.nrows, P.ncols) == (5, 3)
     assert P.is_zero()
 
@@ -87,7 +93,14 @@ def test_transpose_matches_the_adjoint_formula_on_a_non_isometric_target():
     assert D.transpose() * D != B.transpose() * B
     G = B.transpose() * B
     reference = B * G.inverse() * D.transpose()
-    assert partial_isometry(B, D).transpose() == reference
+    assert (D * pseudo_inverse(B)).transpose() == reference
+
+
+def test_pseudo_inverse_rejects_dependent_columns():
+    dependent = mat([[1, 2, 0], [0, 0, 1], [1, 2, 1]])
+    with pytest.raises(ValueError):
+        pseudo_inverse(dependent)
+    assert pseudo_inverse(B) * B == Matrix.identity(2)
 
 
 def test_fixed_vectors_span_the_fixed_part_of_the_basis():
@@ -189,6 +202,30 @@ def test_no_module_outside_linalg_touches_matrix_storage():
         if isinstance(node, ast.Attribute) and node.attr == "rows"
     ]
     assert sites == []
+
+
+def test_only_the_generators_and_the_angle_invert_outside_linalg():
+    """Outside ``linalg``, every Gram inverse goes through
+    ``pseudo_inverse``: ``.inverse()`` is called only on the square labeled
+    basis of ``tower.build_symmetric_rep`` and on the K Gram of
+    ``spread._angle``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "cosimplex"
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "inverse"
+            ):
+                # the innermost function around the call, or the module
+                around = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                callers.append(f"{path.stem}.{around[-1] if around else '<module>'}")
+    assert sorted(callers) == ["spread._angle", "tower.build_symmetric_rep"]
 
 
 # -- the subspace tests against rref, an independent elimination -----------------
@@ -358,8 +395,11 @@ def test_products_and_dot_equal_the_dense_fraction_reference(data):
 )))
 def test_orthogonal_is_the_pairwise_dot_test(data):
     a, pool, perp = data
-    # half the cases draw b from the complement of a, so both verdicts occur
-    b = orthogonal_complement_within(a, pool) if perp else pool
+    # half the cases project b onto the complement of a, so both verdicts occur
+    b = pool
+    if perp and pool:
+        A = Matrix.from_columns(span_basis(a), nrows=len(pool[0]))
+        b = ((Matrix.identity(A.nrows) - A * pseudo_inverse(A)) * Matrix.from_columns(pool)).columns()
     expected = all(dot(x, y) == 0 for x in a for y in b)
     assert orthogonal(a, b) == orthogonal(b, a) == expected
     if perp:

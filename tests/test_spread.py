@@ -247,6 +247,29 @@ def test_each_fixed_projection_is_computed_once_per_call(monkeypatch):
     assert seen == []
 
 
+def test_minimal_sch_inverts_one_gram_for_all_solved_shifts(monkeypatch):
+    calls = []
+    inverse = Matrix.inverse
+
+    def counted(M):
+        calls.append((M.nrows, M.ncols))
+        return inverse(M)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    fam = ell2_family(4)
+    fam.ambient_shifts = None
+    tower = minimal_sch(fam)
+    assert len(tower.shifts) == 4
+    assert calls == [(4, 4)]
+
+
+def test_a_singular_gram_is_a_precondition_error():
+    iota = Matrix.from_entries(2, 2, {(0, 0): 1})
+    fam = SpreadableFamily(2, 2, [iota, iota], iota)
+    with pytest.raises(PreconditionError, match="singular"):
+        operator_angle(fam)
+
+
 # -- complete invariant ------------------------------------------------------------------------------
 
 

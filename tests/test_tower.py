@@ -27,8 +27,6 @@ from cosimplex.linalg import (
     Matrix,
     dot,
     fixed_vectors,
-    orthogonal_complement_within,
-    partial_isometry,
     span_basis,
     subspace_equal,
 )
@@ -461,6 +459,27 @@ def test_rotation_keeps_normality_root_dimensions_and_equivalence(name):
 
 
 # -- one Gram inverse per level, against the per-coface construction --------------------------
+
+
+def partial_isometry(src, dst):
+    """dst (srcᵀ src)⁻¹ srcᵀ, spelled out: column j of ``src`` goes to column
+    j of ``dst``, the complement of span(src) to zero."""
+    if src.ncols == 0:
+        return Matrix.zeros(dst.nrows, src.nrows)
+    return dst * (src.transpose() * src).inverse() * src.transpose()
+
+
+def orthogonal_complement_within(perp_to, within):
+    """A basis of the vectors of span(within) orthogonal to ``perp_to``: the
+    nonzero images W x of the kernel vectors x of Cᵀ W, for the independent
+    columns W of ``within`` and C of ``perp_to``."""
+    within = span_basis(within)
+    constraints = span_basis(perp_to)
+    if not within or not constraints:
+        return within
+    W = Matrix.from_columns(within)
+    ker = (Matrix.from_columns(constraints).transpose() * W).kernel()
+    return [W * x for x in ker.columns()]
 
 
 def _reference_normal(tower):
