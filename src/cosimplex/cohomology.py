@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .linalg import Matrix, _primitive_ints, primitive, subspace_equal, subspace_leq
-from .scs import CheckReport, Report, TruncatedSCS
+from .scs import CheckReport, Report, TruncatedSCS, innovation_shift_failures
 
 
 @dataclass
@@ -183,18 +183,6 @@ def cohomology(cx: CochainComplex) -> CohomologyReport:
     return CohomologyReport(levels, caveats)
 
 
-def _innovation_shift_violations(scs: TruncatedSCS, up_to: int):
-    """Levels l <= up_to where some shift fails to map D_l into D_{l+1}."""
-    D = scs.innovation_sets()
-    bad = []
-    for l in range(0, min(up_to, scs.max_level - 1) + 1):
-        for x in sorted(D[l]):
-            if any(scs.levels[scs.alpha(i, x)] != l + 1 for i in range(0, l + 1)):
-                bad.append(l)
-                break
-    return bad
-
-
 def explicit_cocycles(scs: TruncatedSCS, k: int, cx: CochainComplex | None = None):
     """Closed-form cocycle basis at level k for structures whose innovations
     shift below k.
@@ -207,7 +195,7 @@ def explicit_cocycles(scs: TruncatedSCS, k: int, cx: CochainComplex | None = Non
     N = scs.max_level
     if not (0 <= k <= N - 1):
         raise PreconditionError(f"explicit cocycles need 0 <= k <= {N - 1}, got {k}")
-    bad = _innovation_shift_violations(scs, k)
+    bad = sorted({l for _, l in innovation_shift_failures(scs) if l <= k})
     if bad:
         raise PreconditionError(
             f"innovations do not shift at levels {bad}; the closed form does not apply"

@@ -389,13 +389,13 @@ def infer_normal_labels(scs: TruncatedSCS):
     return labels, inferred, unknown
 
 
-def saturate(scs: TruncatedSCS, strict: bool = True) -> TruncatedSCS:
+def saturate(scs: TruncatedSCS) -> TruncatedSCS:
     """Re-level every element to the level of its normal label.
 
     The result has the same elements and shifts and is saturated at every
     fully computable level; the input is a sub-structure of it (X_k ⊆ X̂_k).
     Level-N elements whose new level cannot be determined raise
-    ``TruncationError`` (or keep their level when strict=False).
+    ``TruncationError``.
     """
     labels, inferred, unknown = infer_normal_labels(scs)
     new_levels = dict(scs.levels)
@@ -406,7 +406,7 @@ def saturate(scs: TruncatedSCS, strict: bool = True) -> TruncatedSCS:
             unknown.add(y)
         else:
             new_levels[y] = lab.level
-    if unknown and strict:
+    if unknown:
         raise TruncationError(
             "cannot determine saturated levels for: "
             + ", ".join(scs.name(y) for y in sorted(unknown)),
@@ -424,7 +424,7 @@ class DeFinettiLevel(Report):
     shifts_innovations: bool  # α_i(D_n) ⊆ D_{n+1} for all i <= n
     saturated_up_to_next: bool  # X_{n-1} = fixed(α_n) ∩ X_n
     equivalence_ok: bool
-    saturated: bool | None  # unrestricted saturation at level n-1 (None: out of range)
+    saturated: bool  # unrestricted saturation at level n-1
     saturated_exact: bool
     top_shift_hypothesis: bool  # α_n(D_k) ⊆ D_{k+1} for all computable k >= n
     one4all_ok: bool
@@ -443,6 +443,22 @@ class DeFinettiReport(Report):
         return not self.bugs
 
 
+def innovation_shift_failures(scs: TruncatedSCS) -> dict:
+    """(i, k) -> the first x of sorted(D_k) with α_i(x) outside D_{k+1}, for
+    each pair 0 <= i <= k <= N-1 where the inclusion α_i(D_k) ⊆ D_{k+1} fails.
+
+    Every statement of the saturation dictionary reads this one table.
+    """
+    D = scs.innovation_sets()
+    failures = {}
+    for k in range(0, scs.max_level):
+        for x in sorted(D[k]):
+            for i in range(0, k + 1):
+                if scs.levels[scs.alpha(i, x)] != k + 1:
+                    failures.setdefault((i, k), x)
+    return failures
+
+
 def check_toy_definetti_scs(scs: TruncatedSCS) -> DeFinettiReport:
     """Evaluate the saturation dictionary level by level.
 
@@ -452,72 +468,58 @@ def check_toy_definetti_scs(scs: TruncatedSCS) -> DeFinettiReport:
     n-1 => innovations shift) and the single-shift-suffices reduction are
     evaluated; any violation of a proven statement is reported as a bug.
     Failures of the converses are recorded as observations, not bugs.
+    Every statement reads the one table of ``innovation_shift_failures``,
+    and both saturation verdicts come from one saturation scan per level.
     """
     N = scs.max_level
-    D = scs.innovation_sets()
+    failures = innovation_shift_failures(scs)
     levels = []
     bugs = []
     conv1 = []
     conv2 = []
     caveats = []
     for n in range(0, N):
-        shifts_innov = True
-        top_only = True
-        for x in sorted(D[n]):
-            for i in range(0, n + 1):
-                if scs.levels[scs.alpha(i, x)] != n + 1:
-                    shifts_innov = False
-                    if i == n:
-                        top_only = False
-        sat_upto = bool(check_saturation(scs, n - 1, up_to=n)) if n - 1 <= N - 2 else None
-        if sat_upto is not None and sat_upto != shifts_innov:
+        shifts_innov = not any((i, n) in failures for i in range(0, n + 1))
+        sat_res = check_saturation(scs, n - 1)
+        sat = sat_res.holds
+        sat_exact = not sat_res.truncation_limited
+        # saturated up to level n: no witness of level n
+        sat_upto = all(scs.levels[x] != n for x in sat_res.witnesses)
+        if sat_upto != shifts_innov:
             bugs.append(
                 f"level {n}: saturated-up-to-next is {sat_upto} but innovation "
                 f"shift condition is {shifts_innov}"
             )
-        # unrestricted saturation at level n-1
-        if n - 1 <= N - 2:
-            sat_res = check_saturation(scs, n - 1)
-            sat = sat_res.holds
-            sat_exact = not sat_res.truncation_limited
-        else:
-            sat, sat_exact = None, False
         # hypothesis of the first implication, truncation restricted
-        hyp1 = True
-        hyp1_witness = None
-        for k in range(n, N):
-            for x in sorted(D[k]):
-                img = scs.alpha(n, x)
-                if scs.levels[img] != k + 1:
-                    hyp1 = False
-                    if hyp1_witness is None:
-                        hyp1_witness = {"k": k, "x": x, "image": img, "image_level": scs.levels[img]}
+        hyp1_k = next((k for k in range(n, N) if (n, k) in failures), None)
+        hyp1 = hyp1_k is None
         # one-for-all reduction: top shift alone forces all lower ones
-        one4all_ok = (not top_only) or shifts_innov
+        one4all_ok = (n, n) in failures or shifts_innov
         if not one4all_ok:
             bugs.append(f"level {n}: top shift maps D_{n} into D_{n+1} but a lower shift does not")
-        if sat is not None:
-            if hyp1 and not sat:
-                # the hypothesis quantifies over all higher innovations, so a
-                # truncation can never refute the implication itself
-                caveats.append(
-                    f"level {n}: top-shift hypothesis holds on the truncation but "
-                    f"saturation at {n - 1} fails; undecidable beyond level {N - 1}"
-                )
-            if sat and sat_exact and not shifts_innov:
-                bugs.append(
-                    f"level {n}: saturated at {n - 1} but some shift leaves D_{n + 1}"
-                )
-            if sat and not hyp1:
-                conv1.append({"n": n, **(hyp1_witness or {})})
-            if shifts_innov and not sat:
-                conv2.append({"n": n, "saturated_exact": sat_exact})
+        if hyp1 and not sat:
+            # the hypothesis quantifies over all higher innovations, so a
+            # truncation can never refute the implication itself
+            caveats.append(
+                f"level {n}: top-shift hypothesis holds on the truncation but "
+                f"saturation at {n - 1} fails; undecidable beyond level {N - 1}"
+            )
+        if sat and sat_exact and not shifts_innov:
+            bugs.append(f"level {n}: saturated at {n - 1} but some shift leaves D_{n + 1}")
+        if sat and not hyp1:
+            x = failures[n, hyp1_k]
+            img = scs.alpha(n, x)
+            conv1.append(
+                {"n": n, "k": hyp1_k, "x": x, "image": img, "image_level": scs.levels[img]}
+            )
+        if shifts_innov and not sat:
+            conv2.append({"n": n, "saturated_exact": sat_exact})
         levels.append(
             DeFinettiLevel(
                 n=n,
                 shifts_innovations=shifts_innov,
-                saturated_up_to_next=bool(sat_upto),
-                equivalence_ok=(sat_upto is None) or (sat_upto == shifts_innov),
+                saturated_up_to_next=sat_upto,
+                equivalence_ok=sat_upto == shifts_innov,
                 saturated=sat,
                 saturated_exact=sat_exact,
                 top_shift_hypothesis=hyp1,

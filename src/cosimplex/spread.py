@@ -26,11 +26,10 @@ from fractions import Fraction
 from .errors import NotSpreadableError, PreconditionError
 from .linalg import (
     Matrix,
+    _kernel_image,
     char_poly,
-    fixed_vectors,
     fraction_sqrt,
     is_psd,
-    is_symmetric,
     pseudo_inverse,
     subspace_leq,
 )
@@ -111,7 +110,7 @@ def _angle(family: SpreadableFamily, Q: Matrix | None) -> AngleReport:
                     f"angle of pair ({i}, {j}) differs from the common value",
                     witness=(i, j),
                 )
-    positive = is_symmetric(raw) and is_psd(raw)
+    positive = is_psd(raw)
     contraction = is_psd(G - raw) if positive else False
     fixed_identity = None
     if Q is not None:
@@ -126,7 +125,8 @@ def _angle(family: SpreadableFamily, Q: Matrix | None) -> AngleReport:
 
 def _fixed_projection(A: Matrix) -> Matrix:
     """Orthogonal projection onto the fixed space of an ambient shift."""
-    F = Matrix.from_columns(fixed_vectors(A, Matrix.identity(A.nrows)), nrows=A.nrows)
+    identity = Matrix.identity(A.nrows)
+    F = Matrix.from_columns(_kernel_image(A - identity, identity), nrows=A.nrows)
     return F * pseudo_inverse(F)
 
 
@@ -144,7 +144,7 @@ def from_contraction(C: Matrix, N: int) -> SpreadableFamily:
     k = C.nrows
     if C.ncols != k:
         raise PreconditionError("contraction must be square")
-    if not (is_symmetric(C) and is_psd(C) and is_psd(Matrix.identity(k) - C)):
+    if not (is_psd(C) and is_psd(Matrix.identity(k) - C)):
         raise PreconditionError("need a positive contraction")
     roots = _diagonal_roots(C)
     ambient = (N + 2) * k

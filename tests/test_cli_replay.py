@@ -43,6 +43,7 @@ def _input_files() -> dict:
         "invalid.json": invalid,
         "tower.json": tower_to_dict(from_scs(prototypical(3))),
         "tower-fig2.json": tower_to_dict(from_scs(figure2_scs())),
+        "tower-ex2.json": tower_to_dict(from_scs(example2_scs(5))),
         "c.json": [["9/25"]],
         "family.json": family_to_dict(ell2_family(3)),
     }
@@ -68,6 +69,7 @@ def _argvs() -> list:
         ["scs", "saturate", "fig2.json", "-o", "out.json"],
         ["scs", "innovations", "ex2.json"],
         ["scs", "definetti", "ex2.json"],
+        ["scs", "definetti", "ex2-5.json"],
         ["scs", "labels", "ex2.json"],
         ["scs", "extend", "ex2.json"],
         ["scs", "extend", "ex2-5.json"],
@@ -94,6 +96,8 @@ def _argvs() -> list:
         ["tower", "symrep", "tower.json"],
         ["tower", "hessenberg", "tower.json"],
         ["tower", "definetti", "tower.json"],
+        ["tower", "definetti", "tower-ex2.json"],
+        ["tower", "definetti", "tower-fig2.json"],
         ["tower", "from-scs", "fig2.json"],
         ["tower", "from-scs", "fig2.json", "-o", "out.json"],
         ["spread", "from-c", "c.json", "-n", "3"],

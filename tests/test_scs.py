@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cosimplex import scs as scs_mod
 from cosimplex.errors import TruncationError
 from cosimplex.fixtures import example2_scs, figure2_scs, layered_scs
 from cosimplex.scs import (
@@ -237,6 +238,19 @@ def test_definetti_random_ell_family():
         scs = from_ell(random_valid_ell(rng, N), N)
         report = check_toy_definetti_scs(scs)
         assert report.ok, report.bugs
+
+
+def test_definetti_scans_saturation_once_per_level(monkeypatch):
+    calls = []
+    scan = scs_mod.check_saturation
+
+    def counted(*args, **kwargs):
+        calls.append((args[1:], kwargs))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(scs_mod, "check_saturation", counted)
+    assert check_toy_definetti_scs(prototypical(6)).ok
+    assert calls == [((n - 1,), {}) for n in range(6)]
 
 
 # -- mutations: validate catches exactly the broken invariant ---------------------------------

@@ -31,7 +31,7 @@ from cosimplex.linalg import (
     subspace_equal,
 )
 from cosimplex.normal_ext import is_normal_scs
-from cosimplex.scs import TruncatedSCS, disjoint_union, from_ell
+from cosimplex.scs import TruncatedSCS, check_toy_definetti_scs, disjoint_union, from_ell
 from cosimplex.tower import (
     HessenbergData,
     build_symmetric_rep,
@@ -158,6 +158,46 @@ def test_definetti_example2_tower():
         if c["check"] == "converse-first-implication-fails-or-truncation"
     ]
     assert any(c["n"] == 0 for c in conv)
+
+
+def test_definetti_decides_each_innovation_shift_once(monkeypatch):
+    calls = []
+    leq = tower_mod.subspace_leq
+
+    def counted(small, big):
+        calls.append(len(small))
+        return leq(small, big)
+
+    monkeypatch.setattr(tower_mod, "subspace_leq", counted)
+    tower = from_scs(layered_scs([1, 1, 1], 4))
+    assert check_toy_definetti(tower).ok
+    assert len(calls) == 4 * 5 // 2  # one per pair 0 <= i <= k <= N-1
+
+
+def random_valid_ell(rng, N):
+    values = [rng.randint(0, N)]
+    for n in range(1, N + 1):
+        values.append(rng.randint(n, values[n - 1] + 1))
+    return values
+
+
+def test_definetti_dictionary_agrees_between_set_and_tower():
+    rng = random.Random(2407)
+    structures = [example2_scs(N) for N in range(3, 6)]
+    structures += [figure2_scs(), layered_scs([1, 1, 1], 4), layered_scs([0, 1, 2], 3)]
+    structures += [layer_minus_root_scs(2, 4), layer_minus_root_scs(3, 3)]
+    for _ in range(200):
+        N = rng.randint(1, 6)
+        structures.append(from_ell(random_valid_ell(rng, N), N))
+    for scs in structures:
+        sets = check_toy_definetti_scs(scs)
+        towers = check_toy_definetti(from_scs(scs))
+        shifts = {c["n"]: c["holds"] for c in towers.checks if c["check"] == "innovations-shift"}
+        sat = {c["level"]: c["holds"] for c in towers.checks if c["check"] == "saturated-at-level"}
+        N = scs.max_level
+        assert [lv.shifts_innovations for lv in sets.levels] == [shifts[n] for n in range(N)]
+        assert [lv.saturated for lv in sets.levels] == [sat[n - 1] for n in range(N)]
+        assert sets.ok == towers.ok
 
 
 # -- labeled subspaces ----------------------------------------------------------------------
@@ -585,7 +625,7 @@ def _hessenberg_records(report):
     return out
 
 
-def _random_ell(rng, N):
+def random_valid_ell(rng, N):
     values = [rng.randint(0, N)]
     for n in range(1, N + 1):
         values.append(rng.randint(n, values[n - 1] + 1))
@@ -613,8 +653,8 @@ def _oracle_towers():
     rng = random.Random(2121)
     for t in range(8):
         N = rng.randint(2, 4)
-        s = from_ell(_random_ell(rng, N), N)
-        structures.append(disjoint_union(s, from_ell(_random_ell(rng, N), N)) if t % 2 else s)
+        s = from_ell(random_valid_ell(rng, N), N)
+        structures.append(disjoint_union(s, from_ell(random_valid_ell(rng, N), N)) if t % 2 else s)
     towers = [from_scs(s) for s in structures] + [identity_shift_tower(3), ell2_tower(3)]
     out = []
     for t in towers:
