@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .linalg import Matrix, _primitive_ints, primitive, subspace_equal, subspace_leq
-from .scs import CheckReport, Report, TruncatedSCS, innovation_shift_failures
+from .scs import CheckReport, Report, TruncatedSCS, innovation_shift_failures, require_valid
 
 
 @dataclass
@@ -192,6 +192,7 @@ def explicit_cocycles(scs: TruncatedSCS, k: int, cx: CochainComplex | None = Non
     elimination kernel of d^k and the call fails loudly on any mismatch.
     Returns primitive coefficient vectors over the level-k element basis.
     """
+    require_valid(scs, "explicit_cocycles")
     N = scs.max_level
     if not (0 <= k <= N - 1):
         raise PreconditionError(f"explicit cocycles need 0 <= k <= {N - 1}, got {k}")

@@ -9,6 +9,12 @@ is an initial segment.  Labels of a fixed rank k form a poset: u <= v exactly
 when v is the image of u under some strictly increasing map of the
 nonnegative integers; equivalently, coordinatewise order on the gap encoding
 (v1, v2-v1-1, ..., vk-v_{k-1}-1).
+
+Each non-root label has a parent, the label without its first 0-bit: with
+that bit at position i, ``parent.insert_zero(i)`` is the label, parent ->
+label is the skeleton edge of gap coordinate i + 1, and the insertion word
+from the root is the parent's followed by i.  So each rank's labels form a
+tree from its root, and images along insertion words grow one shift a step.
 """
 
 from __future__ import annotations
@@ -95,6 +101,12 @@ class Label:
         if i > self.level:
             return self
         return Label(self._bits[:i] + (0,) + self._bits[i:])
+
+    def last_insertion(self) -> tuple:
+        """(i, parent) with ``parent.insert_zero(i) == self``: i is the first
+        0-bit and parent the label without it; a root raises ``ValueError``."""
+        i = self._bits.index(0)
+        return i, Label(self._bits[:i] + self._bits[i + 1 :])
 
     def transpose(self, j: int) -> "Label":
         """Swap bits at positions j-1 and j (the j-th adjacent transposition)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidStructureError, TruncationError
 from .labels import Label, enumerate_labels, insertion_sequence, join
-from .scs import Report, TruncatedSCS, infer_normal_labels, normal_label_bits, preimages, validate
+from .scs import Report, TruncatedSCS, infer_normal_labels, normal_label_bits, preimages, require_valid
 
 
 def normal_label(scs: TruncatedSCS, y) -> Label:
@@ -66,6 +66,7 @@ class EpsilonLemmaReport(Report):
 def check_epsilon_lemma(scs: TruncatedSCS) -> EpsilonLemmaReport:
     """Verify label(α_j y) = insert_zero_j(label y) wherever both sides are
     evaluable (elements of level <= N-2, every stored shift index)."""
+    require_valid(scs, "check_epsilon_lemma")
     N = scs.max_level
     cases = 0
     failures = []
@@ -106,39 +107,22 @@ def labeled_subsets(scs: TruncatedSCS) -> dict:
     """The labeled subsets, keyed by label.
 
     Level-k roots form the subset of the root label of rank k+1; every other
-    labeled subset is the shift image of a root subset along the unique chain
-    of insertions.  Labels map to (possibly overlapping) element sets; they
-    partition the elements exactly when the structure is normal.
+    labeled subset is α_i of its parent's (``Label.last_insertion``), all
+    below level N: a shift raises a level by at most one, so no member lies
+    above its label's level.  Labels map to (possibly overlapping) element
+    sets; they partition the elements exactly when the structure is normal.
     """
+    require_valid(scs, "labeled_subsets")
     N = scs.max_level
     roots = root_elements(scs)
-    roots_at = {}
-    for y in roots:
-        roots_at.setdefault(scs.levels[y], set()).add(y)
     out = {}
-    for k in sorted(roots_at):
-        if k > N:
-            continue
-        root_label = Label([1] * (k + 1))
-        out[root_label] = frozenset(roots_at[k])
+    for k in sorted({scs.levels[y] for y in roots}):
         for lab in enumerate_labels(N, rank=k + 1):
-            if lab == root_label:
-                continue
-            word = insertion_sequence(root_label, lab)
-            members = set()
-            ok = True
-            for y in roots_at[k]:
-                cur = y
-                for i in word:
-                    if scs.levels[cur] > N - 1:
-                        ok = False
-                        break
-                    cur = scs.alpha(i, cur)
-                if not ok:
-                    break
-                members.add(cur)
-            if ok and members:
-                out[lab] = frozenset(members)
+            if lab.is_root:
+                out[lab] = frozenset(y for y in roots if scs.levels[y] == k)
+            else:
+                i, parent = lab.last_insertion()
+                out[lab] = frozenset(scs.alpha(i, y) for y in out[parent])
     return out
 
 
@@ -269,6 +253,7 @@ def minimal_normal_extension(scs: TruncatedSCS) -> ExtensionResult:
     Classes whose labels or equivalences are truncation-undecidable raise
     ``TruncationError``.
     """
+    require_valid(scs, "minimal_normal_extension")
     return _extension(scs, equivalence_classes(scs))
 
 
@@ -371,11 +356,7 @@ class SCSInvariant:
 def classify(scs: TruncatedSCS) -> SCSInvariant:
     """Layer multiplicities of the minimal normal extension plus, per layer,
     the normal labels of the original root elements landing in it."""
-    report = validate(scs)
-    if not report.ok:
-        raise InvalidStructureError(
-            f"classify needs a valid structure: {report.violations[0].message}"
-        )
+    require_valid(scs, "classify")
     part = equivalence_classes(scs)
     ext = _extension(scs, part)
     roots = root_elements(scs)

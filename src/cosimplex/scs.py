@@ -201,6 +201,14 @@ def validate(scs: TruncatedSCS) -> ValidationReport:
     return ValidationReport(v)
 
 
+def require_valid(scs: TruncatedSCS, what: str) -> None:
+    """Raise ``InvalidStructureError`` naming ``what`` and the first violation
+    of ``validate`` unless the structure is valid."""
+    violations = validate(scs).violations
+    if violations:
+        raise InvalidStructureError(f"{what} needs a valid structure: {violations[0].message}")
+
+
 # -- generators ---------------------------------------------------------------
 
 
@@ -471,6 +479,7 @@ def check_toy_definetti_scs(scs: TruncatedSCS) -> DeFinettiReport:
     Every statement reads the one table of ``innovation_shift_failures``,
     and both saturation verdicts come from one saturation scan per level.
     """
+    require_valid(scs, "check_toy_definetti_scs")
     N = scs.max_level
     failures = innovation_shift_failures(scs)
     levels = []

@@ -17,6 +17,12 @@ labeled subspaces, the three equivalent normality criteria, the unitary
 generators of the induced symmetric-group action on a normal tower, and the
 factorization checks for towers presented by localized unitaries.
 
+All innovations come from one Gram–Schmidt pass over the level bases,
+lowest level first, cut at the level dimensions: that needs the independent
+columns above and the nesting that ``check_tower`` checks (the CLI rejects a
+tower failing it).  Each labeled subspace is one shift of its parent
+label's (see ``labels``).
+
 The normality criteria take one pseudo-inverse B⁺ = (BᵀB)⁻¹Bᵀ per level:
 every coface adjoint into H_k is (B⁺)ᵀ D_iᵀ for the basis B of H_{k-1} and
 D_i = δ_i B.  The projections onto fixed spaces are F F⁺ for a fixed basis
@@ -37,7 +43,7 @@ from .errors import (
     NotNormalError,
     PreconditionError,
 )
-from .labels import Label, enumerate_labels, insertion_sequence, transpose_action
+from .labels import Label, enumerate_labels, transpose_action
 from .linalg import (
     Matrix,
     _kernel_image,
@@ -49,10 +55,9 @@ from .linalg import (
     span_basis,
     subspace_equal,
     subspace_leq,
-    subspace_rank,
     try_orthonormal_basis,
 )
-from .scs import CheckReport, Report, TruncatedSCS
+from .scs import CheckReport, Report, TruncatedSCS, require_valid
 
 
 @dataclass
@@ -111,13 +116,11 @@ def check_tower(tower: HilbertTower) -> CheckReport:
             {"i": i},
             img.transpose() * img == dom.transpose() * dom,
         )
-    if N >= 1:
-        deep = tower.basis(N - 2)
-        for j in range(1, N):
-            for i in range(j):
-                lhs = tower.alpha(j) * (tower.alpha(i) * deep)
-                rhs = tower.alpha(i) * (tower.alpha(j - 1) * deep)
-                report.record("exchange", {"i": i, "j": j}, lhs == rhs)
+    deep = [tower.alpha(i) * tower.basis(N - 2) for i in range(N - 1)]  # α_i H_{N-2}
+    for j in range(1, N):
+        for i in range(j):
+            lhs = tower.alpha(j) * deep[i]
+            report.record("exchange", {"i": i, "j": j}, lhs == tower.alpha(i) * deep[j - 1])
     for i in range(max(0, N)):
         for k in range(-1, N):
             img = tower.alpha(i) * tower.basis(k)
@@ -141,6 +144,7 @@ def from_scs(scs: TruncatedSCS) -> HilbertTower:
 
     Coordinates are ordered by level, so H_k is spanned by the first dim(H_k)
     of them."""
+    require_valid(scs, "from_scs")
     N = scs.max_level
     order = sorted(scs.levels, key=lambda x: (scs.levels[x], x))
     index = {x: i for i, x in enumerate(order)}
@@ -162,12 +166,14 @@ def from_scs(scs: TruncatedSCS) -> HilbertTower:
 # -- innovation and fixed subspaces ------------------------------------------------
 
 
-def innovation_basis(tower: HilbertTower, k: int) -> list:
-    """Orthogonal (unnormalized, primitive rational) basis of H_k ⊖ H_{k-1}."""
-    prev = tower.basis(k - 1).columns() if k >= 0 else []
-    cur = tower.basis(k).columns()
-    ortho = gram_schmidt(list(prev) + list(cur))
-    return ortho[subspace_rank(prev) :]
+def innovation_bases(tower: HilbertTower) -> dict:
+    """k -> orthogonal (unnormalized, primitive rational) basis of H_k ⊖ H_{k-1}
+    for k = -1..N: one Gram–Schmidt pass over all level bases in level order,
+    valid as the levels are nested and each basis independent, so the pass
+    has spanned H_{k-1} with dim H_{k-1} vectors on reaching H_k."""
+    N = tower.max_level
+    ortho = gram_schmidt([v for k in range(-1, N + 1) for v in tower.basis(k).columns()])
+    return {k: ortho[tower.dim(k - 1) : tower.dim(k)] for k in range(-1, N + 1)}
 
 
 def fixed_space(tower: HilbertTower, n: int):
@@ -199,7 +205,7 @@ def check_toy_definetti(tower: HilbertTower) -> CheckReport:
     """
     report = CheckReport()
     N = tower.max_level
-    innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
+    innov = innovation_bases(tower)
     # into[i, k]: α_i(D_k) ⊆ D_{k+1}, decided once for each 0 <= i <= k <= N-1
     into = {
         (i, k): subspace_leq([tower.alpha(i) * v for v in innov[k]], innov[k + 1])
@@ -252,49 +258,47 @@ def check_toy_definetti(tower: HilbertTower) -> CheckReport:
 def root_space(tower: HilbertTower, k: int) -> list:
     """Vectors of the level-k innovation orthogonal to every shifted copy of
     the previous innovation (level-k root vectors)."""
-    innov_prev = innovation_basis(tower, k - 1) if k > 0 else []
-    return _root_space(tower, k, innovation_basis(tower, k), innov_prev)
+    return _root_space(tower, k, innovation_bases(tower))
 
 
-def _root_space(tower: HilbertTower, k: int, innov_k: list, innov_prev: list) -> list:
-    """``root_space`` from the innovation bases of levels k and k - 1."""
+def _root_space(tower: HilbertTower, k: int, innov: dict) -> list:
+    """``root_space`` from the innovation bases by level."""
     if k <= 0:
-        return innov_k
-    shifted = [tower.alpha(i) * v for i in range(0, k) for v in innov_prev]
+        return innov[k]
+    shifted = [tower.alpha(i) * v for i in range(0, k) for v in innov[k - 1]]
     # W x is orthogonal to every shifted copy exactly when x is in the kernel
     # of the matrix whose rows are the shifted copies, times W
-    W = Matrix.from_columns(innov_k, nrows=tower.ambient_dim)
+    W = Matrix.from_columns(innov[k], nrows=tower.ambient_dim)
     return _kernel_image(Matrix(shifted, ncols=tower.ambient_dim) * W, W)
 
 
 def _label_images(tower: HilbertTower, k: int, vectors):
     """(label, images) for each rank-(k+1) label of the tower, in
-    ``enumerate_labels`` order, so the root label comes first: the level-k
-    root ``vectors`` carried along the insertion sequence from the root
-    label, first shift first."""
-    root_label = Label([1] * (k + 1))
+    ``enumerate_labels`` order: the level-k root ``vectors`` at the root
+    label, which comes first, and α_i of the parent's images elsewhere."""
+    images = {}
     for lab in enumerate_labels(tower.max_level, rank=k + 1):
-        images = vectors
-        for i in insertion_sequence(root_label, lab):
-            shift = tower.alpha(i)
-            images = [shift * v for v in images]
-        yield lab, images
+        if lab.is_root:
+            images[lab] = vectors
+        else:
+            i, parent = lab.last_insertion()
+            images[lab] = [tower.alpha(i) * v for v in images[parent]]
+        yield lab, images[lab]
 
 
 def labeled_subspaces(tower: HilbertTower, innov: dict | None = None) -> dict:
     """Label -> basis (list of ambient vectors) of the labeled subspace.
 
     Root spaces are cut out by orthogonality inside each innovation; every
-    other labeled subspace is the image of its root space along the unique
-    insertion chain.  Only labels whose root space is nonzero appear.
+    other labeled subspace is the shift of its parent label's.  Only labels
+    whose root space is nonzero appear.
     ``innov`` may pass in the innovation bases by level, if already built.
     """
     N = tower.max_level
     out = {}
-    if innov is None:
-        innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
+    innov = innovation_bases(tower) if innov is None else innov
     for k in range(-1, N + 1):
-        basis = _root_space(tower, k, innov[k], innov.get(k - 1, []))
+        basis = _root_space(tower, k, innov)
         if basis:
             out.update(_label_images(tower, k, basis))
     # every level is spanned by its labeled subspaces
@@ -377,7 +381,7 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
                     ok_d = False
                     info.setdefault("complement_witness", {"i": i, "j": j, "k": k})
 
-    innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
+    innov = innovation_bases(tower)
     subspaces = labeled_subspaces(tower, innov=innov)
     ok_e = True
     labs = sorted(subspaces, key=lambda l: l.sort_key())
@@ -522,19 +526,20 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
     far commutation, the containment u_{k+1} H_k ⊆ H_{k+1} used by the
     factorization argument, the finite products recovering the shifts, the
     staircase block pattern of shifts on innovations, the three equivalent
-    exchange conditions (evaluated independently, verdicts compared), the
-    generator-shift relation table, fixed spaces as joint fixed spaces, and
-    the adjoint intertwining on saturated instances.
+    exchange conditions (verdicts compared), the generator-shift relation
+    table, fixed spaces as joint fixed spaces, and the adjoint intertwining
+    on saturated instances.  Conditions 1 and 2 are read off the table: 1 at
+    (i, j) compares u_{j+1} α_i and α_i u_j on H_{N-2}, the same matrices as
+    ``relation-low`` at (i, j + 1), and 2 is its i = j - 1 subset.
     """
     report = CheckReport()
     tower = data.tower
     N = tower.max_level
     M = data.count
 
-    for k in range(1, M + 1):
-        if k - 2 <= N:
-            B = tower.basis(min(k - 2, N))
-            report.record("fixes-two-below", {"k": k}, data.u(k) * B == B)
+    for k in range(1, min(M, N + 2) + 1):
+        B = tower.basis(k - 2)
+        report.record("fixes-two-below", {"k": k}, data.u(k) * B == B)
     for k in range(1, M + 1):
         for l in range(k, N + 1):
             B = tower.basis(l)
@@ -576,7 +581,7 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
             report.record("shift-fixes-low", {"n": n, "k": k}, tower.alpha(n) * B == B)
 
     # staircase block pattern: innovation components vanish above one step down
-    innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
+    innov = innovation_bases(tower)
     for n in range(0, N):
         ok = True
         for l in range(-1, N):
@@ -586,29 +591,34 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
                     ok = False
         report.record("staircase-blocks", {"n": n}, ok)
 
-    # three equivalent exchange conditions, evaluated independently
-    dom = tower.basis(N - 2) if N >= 1 else Matrix.zeros(tower.ambient_dim, 0)
-    cond1 = True
-    for j in range(1, min(M - 1, N - 1) + 1):
-        for i in range(0, j):
-            lhs = data.u(j + 1) * (tower.alpha(i) * dom)
-            rhs = tower.alpha(i) * (data.u(j) * dom)
-            if lhs != rhs:
-                cond1 = False
-    cond2 = True
-    for j in range(1, min(M - 1, N - 1) + 1):
-        lhs = data.u(j + 1) * (tower.alpha(j - 1) * dom)
-        rhs = tower.alpha(j - 1) * (data.u(j) * dom)
-        if lhs != rhs:
-            cond2 = False
+    # generator-shift relation table on H_{N-2}, from each α_i H_{N-2}
+    # (α_N fixes it) and each u_j H_{N-2} formed once
+    dom = tower.basis(N - 2)
+    shifted = [tower.alpha(i) * dom for i in range(N)] + [dom]
+    moved = {j: data.u(j) * dom for j in range(1, min(M, N) + 1)}
+    relations = []  # (name, j, i, verdict) in table order
+    for j in range(1, min(M, N) + 1):
+        for i in range(0, N):
+            lhs = data.u(j) * shifted[i]
+            if i < j - 1:
+                name, rhs = "relation-low", tower.alpha(i) * moved[j - 1]
+            elif i == j - 1:
+                name, rhs = "relation-step-up", shifted[j]
+            elif i == j:
+                name, rhs = "relation-step-down", shifted[j - 1]
+            else:
+                name, rhs = "relation-high", tower.alpha(i) * moved[j]
+            relations.append((name, j, i, lhs == rhs))
+
+    # three equivalent exchange conditions: 1 and 2 from the relation table
+    low = [(j, i, ok) for name, j, i, ok in relations if name == "relation-low"]
+    cond1 = all(ok for _, _, ok in low)
+    cond2 = all(ok for j, i, ok in low if i == j - 2)
     cond3 = True
-    for j in range(1, M):
-        if j + 1 > N:
-            continue
+    for j in range(1, min(M, N)):
         rng = tower.alpha(j + 1) * tower.basis(N - 1)
-        lhs = data.u(j) * (data.u(j + 1) * (data.u(j) * rng))
-        rhs = data.u(j + 1) * (data.u(j) * (data.u(j + 1) * rng))
-        if lhs != rhs:
+        u, v = data.u(j), data.u(j + 1)
+        if u * (v * (u * rng)) != v * (u * (v * rng)):
             cond3 = False
     report.record("exchange-condition-1", {}, cond1)
     report.record("exchange-condition-2", {}, cond2)
@@ -619,24 +629,8 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
         cond1 == cond2 == cond3,
     )
 
-    # generator-shift relation table on H_{N-2}
-    if N >= 1:
-        for j in range(1, min(M, N) + 1):
-            for i in range(0, N):
-                lhs = data.u(j) * (tower.alpha(i) * dom)
-                if i < j - 1:
-                    rhs = tower.alpha(i) * (data.u(j - 1) * dom)
-                    name = "relation-low"
-                elif i == j - 1:
-                    rhs = tower.alpha(j) * dom
-                    name = "relation-step-up"
-                elif i == j:
-                    rhs = tower.alpha(j - 1) * dom
-                    name = "relation-step-down"
-                else:
-                    rhs = tower.alpha(i) * (data.u(j) * dom)
-                    name = "relation-high"
-                report.record(name, {"j": j, "i": i}, lhs == rhs)
+    for name, j, i, ok in relations:
+        report.record(name, {"j": j, "i": i}, ok)
 
     # fixed space of alpha_n = joint fixed space J_n of the generators above
     # n, built downward: J_n = Fix(u_{n+1}) ∩ J_{n+1} from J_M = H_{N-1}
@@ -695,7 +689,8 @@ class EquivalenceResult:
 
 
 def root_dimension_sequence(tower: HilbertTower) -> tuple:
-    return tuple(len(root_space(tower, k)) for k in range(-1, tower.max_level + 1))
+    innov = innovation_bases(tower)
+    return tuple(len(_root_space(tower, k, innov)) for k in range(-1, tower.max_level + 1))
 
 
 def intertwines(U: Matrix, a: HilbertTower, b: HilbertTower) -> bool:

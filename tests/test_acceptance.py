@@ -56,7 +56,7 @@ from cosimplex.tower import (
     check_tower,
     fixed_space,
     from_scs,
-    innovation_basis,
+    innovation_bases,
     permutation_unitary,
     unitary_equivalence,
 )
@@ -339,12 +339,13 @@ def test_criterion_11_sequence_space_example():
     tw = ell2_tower(5)
     assert check_tower(tw).ok
     dim = tw.ambient_dim
+    innov = innovation_bases(tw)
     for k in range(1, 5):
-        vs = innovation_basis(tw, k)
+        vs = innov[k]
         assert len(vs) == 1
         expect = [F(1)] + [F(-1)] * k + [F(k + 1)] + [F(0)] * (dim - k - 2)
         assert primitive(vs[0]) == primitive(tuple(expect))
-    g0, g1, g2 = (innovation_basis(tw, k)[0] for k in (0, 1, 2))
+    g0, g1, g2 = (innov[k][0] for k in (0, 1, 2))
     sol = Matrix.from_columns([g0, g1, g2]).solve(tw.alpha(0) * g1)
     assert sol == (F(1, 2), F(-1, 6), F(2, 3))
     passed(11, "angle one half, staircase innovation generators, and the exact shift "

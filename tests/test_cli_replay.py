@@ -22,9 +22,18 @@ import json
 import os
 import sys
 from pathlib import Path
+from random import Random
 
 from cosimplex.cli import main
-from cosimplex.fixtures import ell2_family, example2_scs, figure2_scs, prototypical
+from cosimplex.fixtures import (
+    ell2_family,
+    example2_scs,
+    figure2_scs,
+    layered_scs,
+    prototypical,
+    random_rational_rotation,
+    rotate_tower,
+)
 from cosimplex.io_json import dump_json, family_to_dict, scs_to_dict, tower_to_dict
 from cosimplex.tower import from_scs
 
@@ -35,6 +44,9 @@ def _input_files() -> dict:
     """File name -> JSON payload of every input the replay reads."""
     invalid = scs_to_dict(prototypical(2))
     invalid["shifts"][0]["map"] = [[0, 1]]  # alpha_0 leaves element 1 out
+    # ambient 11, with labels two insertions away from their root
+    layered = from_scs(layered_scs([1, 1, 1], 3))
+    rotated = rotate_tower(layered, random_rational_rotation(11, Random(0), 3))
     return {
         "proto.json": scs_to_dict(prototypical(3)),
         "ex2.json": scs_to_dict(example2_scs(3)),
@@ -44,6 +56,8 @@ def _input_files() -> dict:
         "tower.json": tower_to_dict(from_scs(prototypical(3))),
         "tower-fig2.json": tower_to_dict(from_scs(figure2_scs())),
         "tower-ex2.json": tower_to_dict(from_scs(example2_scs(5))),
+        "tower-layered.json": tower_to_dict(layered),
+        "tower-layered-rot.json": tower_to_dict(rotated),
         "c.json": [["9/25"]],
         "family.json": family_to_dict(ell2_family(3)),
     }
@@ -95,6 +109,12 @@ def _argvs() -> list:
         ["--format", "text", "tower", "normal", "tower-fig2.json"],
         ["tower", "symrep", "tower.json"],
         ["tower", "hessenberg", "tower.json"],
+        ["tower", "labels", "tower-layered.json"],
+        ["tower", "labels", "tower-layered-rot.json"],
+        ["tower", "symrep", "tower-layered.json"],
+        ["tower", "symrep", "tower-layered-rot.json"],
+        ["tower", "hessenberg", "tower-layered.json"],
+        ["tower", "hessenberg", "tower-layered-rot.json"],
         ["tower", "definetti", "tower.json"],
         ["tower", "definetti", "tower-ex2.json"],
         ["tower", "definetti", "tower-fig2.json"],

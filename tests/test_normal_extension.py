@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cosimplex import normal_ext
+from cosimplex.cohomology import explicit_cocycles
 from cosimplex.errors import InvalidStructureError, TruncationError
 from cosimplex.fixtures import (
     example2_scs,
@@ -30,11 +31,13 @@ from cosimplex.normal_ext import (
 from cosimplex.scs import (
     TruncatedSCS,
     check_saturation,
+    check_toy_definetti_scs,
     disjoint_union,
     from_ell,
     saturate,
     validate,
 )
+from cosimplex.tower import from_scs
 
 
 def random_valid_ell(rng, N):
@@ -264,6 +267,32 @@ def test_classify_of_an_invalid_structure_names_its_first_violation():
     with pytest.raises(InvalidStructureError) as info:
         classify(bad)
     assert str(info.value) == "classify needs a valid structure: element 2 has level 5"
+
+
+def _with_alpha(scs, i, x, y):
+    """``scs`` with α_i(x) set to y, which need not be an element."""
+    shifts = [dict(m) for m in scs.shifts]
+    shifts[i][x] = y
+    return TruncatedSCS(scs.max_level, dict(scs.levels), tuple(shifts))
+
+
+@pytest.mark.parametrize(
+    "name, analysis",
+    [
+        ("check_toy_definetti_scs", check_toy_definetti_scs),
+        ("explicit_cocycles", lambda scs: explicit_cocycles(scs, 1)),
+        ("from_scs", from_scs),
+        ("labeled_subsets", labeled_subsets),
+        ("check_epsilon_lemma", check_epsilon_lemma),
+        ("minimal_normal_extension", minimal_normal_extension),
+        ("classify", classify),
+    ],
+)
+def test_analyses_reject_an_invalid_structure_by_its_first_violation(name, analysis):
+    bad = _with_alpha(prototypical(3), 0, 0, 99)
+    with pytest.raises(InvalidStructureError) as info:
+        analysis(bad)
+    assert str(info.value) == f"{name} needs a valid structure: alpha_0(0) is not an element"
 
 
 def test_classify_two_copies():

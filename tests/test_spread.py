@@ -22,7 +22,7 @@ from cosimplex.spread import (
     operator_angle,
     roundtrip_from_sch,
 )
-from cosimplex.tower import check_tower, from_scs, innovation_basis
+from cosimplex.tower import check_tower, from_scs, innovation_bases
 
 F = Fraction
 
@@ -100,8 +100,9 @@ def test_ell2_innovation_generators():
     tower = ell2_tower(5)
     assert check_tower(tower).ok
     dim = tower.ambient_dim
+    innov = innovation_bases(tower)
     for k in range(1, 5):
-        vs = innovation_basis(tower, k)
+        vs = innov[k]
         assert len(vs) == 1
         expect = [F(1)] + [F(-1)] * k + [F(k + 1)] + [F(0)] * (dim - k - 2)
         assert primitive(vs[0]) == primitive(tuple(expect))
@@ -109,9 +110,7 @@ def test_ell2_innovation_generators():
 
 def test_ell2_shift_decomposition_coefficients():
     tower = ell2_tower(5)
-    g0 = innovation_basis(tower, 0)[0]
-    g1 = innovation_basis(tower, 1)[0]
-    g2 = innovation_basis(tower, 2)[0]
+    g0, g1, g2 = (innovation_bases(tower)[k][0] for k in (0, 1, 2))
     image = tower.alpha(0) * g1
     sol = Matrix.from_columns([g0, g1, g2]).solve(image)
     assert sol == (F(1, 2), F(-1, 6), F(2, 3))

@@ -42,7 +42,7 @@ from cosimplex.tower import (
     check_tower,
     fixed_space,
     from_scs,
-    innovation_basis,
+    innovation_bases,
     intertwines,
     labeled_subspaces,
     permutation_unitary,
@@ -107,11 +107,10 @@ def test_check_tower_flags_broken_isometry():
 
 
 def test_innovation_basis_scs_towers():
-    tower = from_scs(example2_scs(5))
+    innov = innovation_bases(from_scs(example2_scs(5)))
     for k in (2, 3):
-        vs = innovation_basis(tower, k)
-        assert len(vs) == 2
-    assert innovation_basis(tower, 0) == []  # H_0 = H_{-1}
+        assert len(innov[k]) == 2
+    assert innov[0] == []  # H_0 = H_{-1}
 
 
 def test_fixed_space_prototypical():
@@ -558,7 +557,7 @@ def _reference_normal(tower):
                 if any(dot(m, w) != 0 for m in moved for w in img_cur):
                     ok_d = False
                     info.setdefault("complement_witness", {"i": i, "j": j, "k": k})
-    innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
+    innov = innovation_bases(tower)
     subspaces = labeled_subspaces(tower)
     ok_e = True
     for a, b in itertools.combinations(sorted(subspaces, key=lambda l: l.sort_key()), 2):
@@ -598,7 +597,7 @@ def _reference_hessenberg_records(data):
                     product = product * data.u(m)
                 B = tower.basis(k)
                 out.append(("shift-as-product", n, k, product * B == tower.alpha(n) * B))
-    innov = {k: innovation_basis(tower, k) for k in range(-1, N + 1)}
+    innov = innovation_bases(tower)
     for n in range(N):
         ok = all(
             dot(tower.alpha(n) * v, w) == 0
