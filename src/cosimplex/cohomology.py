@@ -62,16 +62,20 @@ def build_complex(scs: TruncatedSCS) -> CochainComplex:
     for n in range(-1, N + 1):
         bases[n] = sorted(scs.X(n), key=lambda x: (scs.levels[x], x))
     columns = {}
-    for n in range(-1, N):
-        index = {x: r for r, x in enumerate(bases[n + 1])}
-        signed = [(scs.shifts[i], (-1) ** (n + 1 - i)) for i in range(min(n + 2, N))]
-        cols = columns[n] = []
-        for x in bases[n]:
-            col = {index[x]: 1} if n + 1 == N else {}
-            for shift, sign in signed:
-                r = index[shift[x]]
-                col[r] = col.get(r, 0) + sign
-            cols.append(col)
+    try:
+        for n in range(-1, N):
+            index = {x: r for r, x in enumerate(bases[n + 1])}
+            signed = [(scs.shifts[i], (-1) ** (n + 1 - i)) for i in range(min(n + 2, N))]
+            cols = columns[n] = []
+            for x in bases[n]:
+                col = {index[x]: 1} if n + 1 == N else {}
+                for shift, sign in signed:
+                    r = index[shift[x]]
+                    col[r] = col.get(r, 0) + sign
+                cols.append(col)
+    except KeyError:  # a shift entry missing, or a target off the next level
+        require_valid(scs, "build_complex")
+        raise
     for n in range(-1, N - 1):
         upper = columns[n + 1]
         for col in columns[n]:

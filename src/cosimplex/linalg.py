@@ -542,22 +542,31 @@ def gram_schmidt(vectors):
     divided by their gcd) is a positive multiple of the rational step
     ``w - (w.u)/(u.u) u``, so after ``primitive`` the vectors are the same.
     """
+    return _gram_schmidt_groups([vectors])[0]
+
+
+def _gram_schmidt_groups(groups) -> list:
+    """One :func:`gram_schmidt` pass over the vectors of all ``groups`` in
+    order: for each group, the vectors it added to the orthogonal basis."""
     done = []  # (primitive integer vector, its squared norm)
-    for v in vectors:
-        v = tuple(v)
-        pairs, _ = _ints(v)
-        w = _dense(pairs, len(v))
-        for u, uu in done:
-            c = sum(map(mul, w, u))
-            if c:
-                g = gcd(uu, c)
-                a, b = uu // g, c // g
-                w = [a * x - b * y for x, y in zip(w, u)]
-        if any(w):
-            g = _content(w)
-            w = [x // g for x in w]
-            done.append((w, sum(map(mul, w, w))))
-    return [tuple(_fractions(u, 1)) for u, _ in done]
+    cuts = [0]
+    for vectors in groups:
+        for v in vectors:
+            v = tuple(v)
+            pairs, _ = _ints(v)
+            w = _dense(pairs, len(v))
+            for u, uu in done:
+                c = sum(map(mul, w, u))
+                if c:
+                    g = gcd(uu, c)
+                    a, b = uu // g, c // g
+                    w = [a * x - b * y for x, y in zip(w, u)]
+            if any(w):
+                g = _content(w)
+                w = [x // g for x in w]
+                done.append((w, sum(map(mul, w, w))))
+        cuts.append(len(done))
+    return [[tuple(_fractions(u, 1)) for u, _ in done[a:b]] for a, b in zip(cuts, cuts[1:])]
 
 
 def pseudo_inverse(B: Matrix) -> Matrix:

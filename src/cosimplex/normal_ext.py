@@ -159,7 +159,6 @@ def equivalence_classes(scs: TruncatedSCS) -> ClassPartition:
     their labels, and flagged undecided when the pushes run off the stored
     levels.
     """
-    table = normal_label_table(scs)
     parent = {y: y for y in scs.levels}
 
     def find(a):
@@ -173,9 +172,14 @@ def equivalence_classes(scs: TruncatedSCS) -> ClassPartition:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for mapping in scs.shifts:
-        for x, y in mapping.items():
-            union(x, y)
+    try:
+        table = normal_label_table(scs)
+        for mapping in scs.shifts:
+            for x, y in mapping.items():
+                union(x, y)
+    except KeyError:  # a shift entry missing, or a target outside the element set
+        require_valid(scs, "equivalence_classes")
+        raise
 
     undecided = []
     reps = sorted({find(y) for y in scs.levels})

@@ -13,6 +13,10 @@ common Gram matrix G = ι_n^T ι_n, all angle statements are relative to the
 K inner product given by G, and the operator angle is G^{-1} Ĉ for the raw
 angle Ĉ = ι_j^T ι_i.  This keeps classical unnormalized examples exact.
 
+A family is frozen; its bottom fixed projection, angle and minimal tower are
+computed once, on first use (an error is not kept, so it recurs on every
+call), and shared: callers treat them as read-only, like every ``Matrix``.
+
 Exact rational arithmetic throughout; a parallel floating path (tolerance τ)
 covers positive contractions whose square roots are irrational.  Only the
 floating path needs numpy, and it imports it on first use.
@@ -20,8 +24,9 @@ floating path needs numpy, and it imports it on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotSpreadableError, PreconditionError
 from .linalg import (
@@ -37,7 +42,7 @@ from .scs import Report
 from .tower import HilbertTower, intertwines
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpreadableFamily:
     """Isometries ι_0..ι_N from K (Gram G) into an orthonormal ambient."""
 
@@ -49,7 +54,7 @@ class SpreadableFamily:
 
     def __post_init__(self):
         if self.gram is None:
-            self.gram = Matrix.identity(self.k_dim)
+            object.__setattr__(self, "gram", Matrix.identity(self.k_dim))
 
     @property
     def count(self) -> int:
@@ -57,6 +62,29 @@ class SpreadableFamily:
 
     def iota(self, n: int) -> Matrix:
         return self.isometries[n]
+
+    @cached_property
+    def _q0(self) -> Matrix:
+        """Q_0, the projection onto the fixed space of the bottom shift."""
+        return _fixed_projection(self.ambient_shifts[0])
+
+    @cached_property
+    def _bare_angle(self) -> AngleReport:
+        return _angle(self)
+
+    @cached_property
+    def _angle_report(self) -> AngleReport:
+        """The bare angle, Ĉ = ι_1^T Q_0 ι_0 = ι_0^T Q_0 ι_0 tested if there are shifts."""
+        if not self.ambient_shifts:
+            return self._bare_angle
+        Q_iota0 = self._q0 * self.iota(0)
+        raw = self._bare_angle.raw_angle
+        identity = all(self.iota(n).transpose() * Q_iota0 == raw for n in (1, 0))
+        return replace(self._bare_angle, fixed_space_identity=identity)
+
+    @cached_property
+    def _tower(self) -> HilbertTower:
+        return _span_tower(self)
 
 
 @dataclass
@@ -87,13 +115,12 @@ def operator_angle(family: SpreadableFamily) -> AngleReport:
     Raises ``NotSpreadableError`` (with a witness pair) when some ι_j^T ι_i
     deviates from the common value, or when an isometry fails its Gram.
     """
-    shifts = family.ambient_shifts
-    return _angle(family, _fixed_projection(shifts[0]) if shifts else None)
+    return family._angle_report
 
 
-def _angle(family: SpreadableFamily, Q: Matrix | None) -> AngleReport:
-    """The report of :func:`operator_angle`, with the fixed-space identity
-    tested against the given projection ``Q`` (``None``: not tested)."""
+def _angle(family: SpreadableFamily) -> AngleReport:
+    """The report of :func:`operator_angle` with the fixed-space identity
+    untested (``None``): the isometry and pair checks, positivity and G⁻¹ Ĉ."""
     if family.count < 2:
         raise PreconditionError("need at least two isometries")
     G = family.gram
@@ -112,15 +139,11 @@ def _angle(family: SpreadableFamily, Q: Matrix | None) -> AngleReport:
                 )
     positive = is_psd(raw)
     contraction = is_psd(G - raw) if positive else False
-    fixed_identity = None
-    if Q is not None:
-        Q_iota0 = Q * iotas[0]
-        fixed_identity = adjoints[1] * Q_iota0 == raw and adjoints[0] * Q_iota0 == raw
     try:
         G_inv = G.inverse()
     except ValueError:
         raise PreconditionError("the Gram matrix of K is singular") from None
-    return AngleReport(raw, G_inv * raw, positive, contraction, Fraction(0), fixed_identity)
+    return AngleReport(raw, G_inv * raw, positive, contraction, Fraction(0), None)
 
 
 def _fixed_projection(A: Matrix) -> Matrix:
@@ -207,8 +230,12 @@ def minimal_sch(family: SpreadableFamily) -> HilbertTower:
 
     Shift matrices are solved from the spanning set (or taken from the
     family); inconsistency of the defining formula on linear relations of the
-    spans means the family was not spreadable.
+    spans means the family was not spreadable.  Built once per family.
     """
+    return family._tower
+
+
+def _span_tower(family: SpreadableFamily) -> HilbertTower:
     N = family.count - 1
     k = family.k_dim
     ambient = family.ambient_dim
@@ -242,8 +269,8 @@ def minimal_sch(family: SpreadableFamily) -> HilbertTower:
 def roundtrip_from_sch(tower: HilbertTower) -> SpreadableFamily:
     """Powers of the bottom shift restricted to level 0 form a spreadable
     family; the ambient and its shifts are inherited from the tower."""
-    N = tower.max_level
     B0 = tower.basis(0)
+    N = tower.max_level
     isometries = []
     current = B0
     for n in range(N + 1):
@@ -296,9 +323,8 @@ def check_theorem_C(family: SpreadableFamily) -> TheoremCReport:
             "the ambient must carry the shifts to locate the fixed space"
         )
     report_failures = []
-    Q = _fixed_projection(family.ambient_shifts[0])
-    angle = _angle(family, Q)
-    complement = Matrix.identity(family.ambient_dim) - Q
+    angle = operator_angle(family)
+    complement = Matrix.identity(family.ambient_dim) - family._q0
     comps = [complement * family.iota(n) for n in range(family.count)]
     ortho = True
     for j in range(family.count):
@@ -311,8 +337,7 @@ def check_theorem_C(family: SpreadableFamily) -> TheoremCReport:
         report_failures.append({"check": "angle-identity"})
     if not angle.positive:
         report_failures.append({"check": "positivity"})
-    tower = minimal_sch(family)
-    saturated = _generated_saturated(family, tower, Q)
+    saturated = _generated_saturated(family)
     projection_ok = None
     if saturated:
         C_op = angle.operator_angle
@@ -324,7 +349,7 @@ def check_theorem_C(family: SpreadableFamily) -> TheoremCReport:
     )
 
 
-def _generated_saturated(family: SpreadableFamily, tower: HilbertTower, Q0: Matrix) -> bool:
+def _generated_saturated(family: SpreadableFamily) -> bool:
     """Whether the generated object admits a saturated augmentation.
 
     The fixed space of shift n inside the closure of the generated spans is
@@ -334,9 +359,10 @@ def _generated_saturated(family: SpreadableFamily, tower: HilbertTower, Q0: Matr
     then serves as the level -1 space) and the fixed space of every higher
     shift n lies inside level n-1.
     """
+    tower = minimal_sch(family)
     top = tower.basis(tower.max_level)
     for n in range(0, tower.max_level):
-        Q = Q0 if n == 0 else _fixed_projection(family.ambient_shifts[n])
+        Q = family._q0 if n == 0 else _fixed_projection(family.ambient_shifts[n])
         bound = tower.basis(max(n - 1, 0)).columns()
         if not subspace_leq((Q * top).columns(), bound):
             return False
@@ -364,8 +390,8 @@ def check_complete_invariant(fam_a: SpreadableFamily, fam_b: SpreadableFamily) -
     """
     if fam_a.k_dim != fam_b.k_dim:
         return InvariantResult(False, "different K dimensions", False)
-    angle_a = _angle(fam_a, None)
-    angle_b = _angle(fam_b, None)
+    angle_a = fam_a._bare_angle
+    angle_b = fam_b._bare_angle
     if char_poly(angle_a.operator_angle) != char_poly(angle_b.operator_angle):
         return InvariantResult(False, "different angle spectra", False)
     if fam_a.gram == fam_b.gram and angle_a.raw_angle == angle_b.raw_angle:

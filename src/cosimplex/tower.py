@@ -7,9 +7,9 @@ isometrically on H_{N-1}, satisfy the exchange relations α_j α_i = α_i α_{j-
 H_{n-1} pointwise (for α_n).  Ambient coordinates are assumed orthonormal, so
 adjoints are transposes.  Level bases are rational and need not be
 orthogonal, but their columns must be independent, as the JSON loader
-demands.  ``check_tower`` does not test this; ``check_normal``, and everything
-built on it, takes the pseudo-inverse of each level basis below the top and
-raises ``PreconditionError`` naming the first level where that fails.
+demands.  ``check_tower`` does not test this; ``innovation_bases`` and
+``check_normal``, and everything built on them, raise ``PreconditionError``
+naming the first level where that fails.
 
 On top of the raw structure this module computes innovation subspaces, fixed
 spaces of shifts (replacing ergodic averaging by exact kernel computations),
@@ -18,9 +18,7 @@ generators of the induced symmetric-group action on a normal tower, and the
 factorization checks for towers presented by localized unitaries.
 
 All innovations come from one Gram–Schmidt pass over the level bases,
-lowest level first, cut at the level dimensions: that needs the independent
-columns above and the nesting that ``check_tower`` checks (the CLI rejects a
-tower failing it).  Each labeled subspace is one shift of its parent
+lowest level first.  Each labeled subspace is one shift of its parent
 label's (see ``labels``).
 
 The normality criteria take one pseudo-inverse B⁺ = (BᵀB)⁻¹Bᵀ per level:
@@ -46,10 +44,10 @@ from .errors import (
 from .labels import Label, enumerate_labels, transpose_action
 from .linalg import (
     Matrix,
+    _gram_schmidt_groups,
     _kernel_image,
     dot,
     fixed_vectors,
-    gram_schmidt,
     orthogonal,
     pseudo_inverse,
     span_basis,
@@ -168,12 +166,17 @@ def from_scs(scs: TruncatedSCS) -> HilbertTower:
 
 def innovation_bases(tower: HilbertTower) -> dict:
     """k -> orthogonal (unnormalized, primitive rational) basis of H_k ⊖ H_{k-1}
-    for k = -1..N: one Gram–Schmidt pass over all level bases in level order,
-    valid as the levels are nested and each basis independent, so the pass
-    has spanned H_{k-1} with dim H_{k-1} vectors on reaching H_k."""
-    N = tower.max_level
-    ortho = gram_schmidt([v for k in range(-1, N + 1) for v in tower.basis(k).columns()])
-    return {k: ortho[tower.dim(k - 1) : tower.dim(k)] for k in range(-1, N + 1)}
+    for k = -1..N: what one Gram–Schmidt pass over the level bases in level
+    order adds at level k.  ``PreconditionError`` at the first level where
+    that is not dim H_k - dim H_{k-1} vectors (dependent or unnested bases)."""
+    levels = range(-1, tower.max_level + 1)
+    innov = dict(zip(levels, _gram_schmidt_groups(tower.basis(k).columns() for k in levels)))
+    for k in levels:
+        if len(innov[k]) != tower.dim(k) - tower.dim(k - 1):
+            raise PreconditionError(
+                f"the level-{k} basis has dependent columns or does not contain level {k - 1}"
+            )
+    return innov
 
 
 def fixed_space(tower: HilbertTower, n: int):

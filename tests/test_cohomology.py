@@ -17,7 +17,12 @@ from cosimplex.cohomology import (
     explicit_cocycles,
     extended_coboundary,
 )
-from cosimplex.errors import InternalInconsistencyError, PreconditionError, TruncationError
+from cosimplex.errors import (
+    InternalInconsistencyError,
+    InvalidStructureError,
+    PreconditionError,
+    TruncationError,
+)
 from cosimplex.fixtures import example2_scs, figure2_scs, layered_scs
 from cosimplex.linalg import Matrix, primitive, subspace_equal
 from cosimplex.scs import CheckReport, TruncatedSCS, from_ell, prototypical
@@ -507,7 +512,7 @@ def _mutants(rng, count):
         mutant = TruncatedSCS(scs.max_level, dict(scs.levels), tuple(shifts))
         try:
             build_complex(mutant)
-        except (KeyError, InternalInconsistencyError):  # a target off the next level, or d d != 0
+        except (InvalidStructureError, InternalInconsistencyError):  # a target off the next level, or d d != 0
             continue
         out.append(mutant)
     return out

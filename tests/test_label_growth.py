@@ -232,10 +232,19 @@ def _count(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("analysis", [root_dimension_sequence, labeled_subspaces])
 def test_each_analysis_orthogonalizes_once(monkeypatch, analysis):
+    """One Gram–Schmidt pass, fed each level's columns once, in level order."""
     tower = from_scs(layered_scs([1, 1, 1], 4))
-    calls = _count(monkeypatch, tower_mod, "gram_schmidt")
+    fed = []
+    orthogonalize = tower_mod._gram_schmidt_groups
+
+    def counted(groups):
+        groups = [list(vectors) for vectors in groups]
+        fed.append(groups)
+        return orthogonalize(groups)
+
+    monkeypatch.setattr(tower_mod, "_gram_schmidt_groups", counted)
     analysis(tower)
-    assert len(calls) == 1
+    assert fed == [[tower.basis(k).columns() for k in range(-1, tower.max_level + 1)]]
 
 
 def test_hessenberg_forms_each_shifted_domain_once(monkeypatch):

@@ -5,7 +5,8 @@ and inverse against a dense Gauss-Jordan reference ``rref`` and the
 determinism conventions of the kernel basis; the integer kernels (products,
 ``dot``, ``gram_schmidt``, the fraction-free ``Echelon``) against dense
 ``Fraction`` references on large and mixed denominators, the cached integer
-rows of a reused operand, and the Fraction-only storage the benchmark reads."""
+rows of a reused operand, the Fraction-only storage the benchmark reads, and
+the few memos the package keeps."""
 
 import ast
 import random
@@ -226,6 +227,92 @@ def test_only_the_generators_and_the_angle_invert_outside_linalg():
                 around = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 callers.append(f"{path.stem}.{around[-1] if around else '<module>'}")
     assert sorted(callers) == ["spread._angle", "tower.build_symmetric_rep"]
+
+
+def _scoped(tree):
+    """Every node of ``tree`` but contexts and operators, with the names of
+    the classes and functions around it (a decorator counts as inside its
+    function)."""
+    stack = [(tree, ())]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+        for field in node._fields:
+            if field in ("ctx", "op"):
+                continue
+            value = getattr(node, field, None)
+            for child in value if isinstance(value, list) else (value,):
+                if isinstance(child, ast.AST):
+                    yield child, scope
+                    stack.append((child, scope))
+
+
+def _written_name(expr):
+    """The module-level name an expression may stand for: a bare name or
+    ``globals()``."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) and expr.func.id == "globals":
+        return "globals()"
+    return None
+
+
+def test_every_memo_in_the_package_is_one_of_the_reviewed_few():
+    """A memo makes a result depend on what ran before, so each one is pinned
+    here: ``functools`` caches, ``self`` attributes written outside
+    ``__init__`` and ``__post_init__``, and module-level names written or
+    mutated inside a function.  There are three kinds: the integer rows of a
+    ``Matrix``, what a ``SpreadableFamily`` derives from itself, and the
+    names ``cosimplex`` binds on first use (PEP 562)."""
+    package = Path(__file__).resolve().parents[1] / "src" / "cosimplex"
+    caches = {"cache", "lru_cache", "cached_property"}
+    mutators = {"append", "extend", "insert", "add", "update", "setdefault", "__setitem__"}
+    memos = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module_names = {"globals()"} | {
+            t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+            for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+            if isinstance(t, ast.Name)
+        }
+        for node, scope in _scoped(tree):
+            # writes at import, and to an instance while it is built, keep
+            # nothing from one call to the next
+            built = bool(scope) and scope[-1] not in ("__init__", "__post_init__")
+            found = None
+            if isinstance(node, ast.Name):
+                if node.id in caches:
+                    found = node.id
+            elif isinstance(node, ast.Attribute):
+                if node.attr in caches or node.attr == "__dict__":
+                    found = f".{node.attr}"
+                elif built and isinstance(node.ctx, ast.Store) and _written_name(node.value) == "self":
+                    found = f"self.{node.attr}"
+            elif isinstance(node, ast.alias):
+                if node.name in caches - {"cached_property"}:
+                    found = f"import {node.name}"
+            elif isinstance(node, ast.Subscript):
+                if scope and isinstance(node.ctx, ast.Store) and _written_name(node.value) in module_names:
+                    found = f"{_written_name(node.value)}[...] ="
+            elif scope and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = _written_name(node.func.value)
+                if built and node.func.attr == "__setattr__" and owner == "object":
+                    found = "object.__setattr__"
+                elif node.func.attr in mutators and owner in module_names:
+                    found = f"{owner}.{node.func.attr}"
+            elif isinstance(node, ast.Global):
+                found = "global"
+            if found:
+                memos.add(f"{path.stem}.{'.'.join(scope)}: {found}")
+    assert sorted(memos) == [
+        "__init__.__getattr__: globals()[...] =",
+        "linalg.Matrix._int_form: self._int_rows",
+        "spread.SpreadableFamily._angle_report: cached_property",
+        "spread.SpreadableFamily._bare_angle: cached_property",
+        "spread.SpreadableFamily._q0: cached_property",
+        "spread.SpreadableFamily._tower: cached_property",
+    ]
 
 
 # -- the subspace tests against rref, an independent elimination -----------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cosimplex import normal_ext
-from cosimplex.cohomology import explicit_cocycles
+from cosimplex.cohomology import build_complex, check_cocycle_identities, explicit_cocycles
 from cosimplex.errors import InvalidStructureError, TruncationError
 from cosimplex.fixtures import (
     example2_scs,
@@ -289,6 +289,23 @@ def _with_alpha(scs, i, x, y):
     ],
 )
 def test_analyses_reject_an_invalid_structure_by_its_first_violation(name, analysis):
+    bad = _with_alpha(prototypical(3), 0, 0, 99)
+    with pytest.raises(InvalidStructureError) as info:
+        analysis(bad)
+    assert str(info.value) == f"{name} needs a valid structure: alpha_0(0) is not an element"
+
+
+@pytest.mark.parametrize(
+    "name, analysis",
+    [
+        ("build_complex", build_complex),
+        ("build_complex", check_cocycle_identities),
+        ("equivalence_classes", equivalence_classes),
+    ],
+)
+def test_analyses_without_validation_reject_a_dangling_target_where_they_meet_it(name, analysis):
+    # valid input is not validated: the first lookup that fails validates,
+    # so the error names the function that made it
     bad = _with_alpha(prototypical(3), 0, 0, 99)
     with pytest.raises(InvalidStructureError) as info:
         analysis(bad)

@@ -1,5 +1,6 @@
 """Spreadable isometry families, operator angles, minimal towers."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from cosimplex import spread
 from cosimplex.errors import NotSpreadableError, PreconditionError
 from cosimplex.fixtures import ell2_family, ell2_tower, prototypical
+from cosimplex.io_json import tower_to_dict
 from cosimplex.linalg import Matrix, primitive
 from cosimplex.spread import (
     SpreadableFamily,
@@ -175,16 +177,22 @@ def test_minimal_sch_rejects_inconsistent_dependent_family():
         minimal_sch(broken)
 
 
-def test_minimal_sch_reports_the_first_inconsistent_shift():
+def broken_shift_families():
+    """Builders of a family with some shifts replaced by the identity, each
+    with the first shift that then fails."""
     fam = from_contraction(diag(F(9, 25)), 3)
     identity = Matrix.identity(fam.ambient_dim)
     for broken, first in (([1], 1), ([2, 1], 1), ([0, 2], 0)):
         shifts = list(fam.ambient_shifts)
         for n in broken:
             shifts[n] = identity
-        family = SpreadableFamily(1, fam.ambient_dim, fam.isometries, fam.gram, shifts)
+        yield (lambda s=shifts: SpreadableFamily(1, fam.ambient_dim, fam.isometries, fam.gram, s)), first
+
+
+def test_minimal_sch_reports_the_first_inconsistent_shift():
+    for build, first in broken_shift_families():
         with pytest.raises(NotSpreadableError, match=f"shift {first} is inconsistent"):
-            minimal_sch(family)
+            minimal_sch(build())
 
 
 # -- conditional orthogonality ------------------------------------------------------------------
@@ -238,12 +246,116 @@ def test_each_fixed_projection_is_computed_once_per_call(monkeypatch):
     operator_angle(fam)
     assert len(seen) == 1 and seen[0] is shifts[0]
     seen.clear()
-    # shift 0 once, then each higher shift once in the saturation test
+    # Q_0 is the family's, projected by operator_angle above: the saturation
+    # test projects only the higher shifts, each once
     assert check_theorem_C(fam).saturated
-    assert len(seen) == len(shifts) and all(a is b for a, b in zip(seen, shifts))
+    assert len(seen) == len(shifts) - 1 and all(a is b for a, b in zip(seen, shifts[1:]))
     seen.clear()
     assert check_complete_invariant(fam, from_contraction(diag(0, 1), 4)).equivalent
     assert seen == []
+
+
+# -- what a family derives, once -----------------------------------------------------------
+
+
+def bench_sequence(fam, partner):
+    """The calls of one spread job of the benchmark, in its order, as JSON."""
+    return [
+        operator_angle(fam).to_dict(),
+        tower_to_dict(minimal_sch(fam)),
+        check_theorem_C(fam).to_dict(),
+        check_complete_invariant(fam, partner).to_dict(),
+    ]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: from_contraction(diag(F(9, 25)), 4), id="contraction"),
+        pytest.param(lambda: ell2_family(5), id="ell2"),
+    ],
+)
+def test_the_bench_sequence_derives_each_piece_once_per_family(monkeypatch, build):
+    calls = []
+    for name in ("_angle", "_span_tower", "_fixed_projection"):
+        def counted(arg, name=name, compute=getattr(spread, name)):
+            calls.append((name, arg))
+            return compute(arg)
+
+        monkeypatch.setattr(spread, name, counted)
+    fam, partner = build(), build()
+    sequence = bench_sequence(fam, partner)
+    assert sequence[3]["intertwiner_verified"]  # the partner's tower is built too
+
+    def count(name, arg):
+        return sum(1 for n, a in calls if n == name and a is arg)
+
+    # the minimal tower, Q_0 and the Q-free angle, once each
+    assert count("_span_tower", fam) == 1
+    assert count("_fixed_projection", fam.ambient_shifts[0]) == 1
+    assert count("_angle", fam) == 1
+    # the partner as before: one Q-free angle and one tower, no projection
+    assert count("_span_tower", partner) == count("_angle", partner) == 1
+    assert not any(count("_fixed_projection", A) for A in partner.ambient_shifts)
+    # a second run repeats at most the projections of the higher shifts
+    calls.clear()
+    assert bench_sequence(fam, partner) == sequence
+    assert all(n == "_fixed_projection" and a is not fam.ambient_shifts[0] for n, a in calls)
+
+
+def pythagorean(*triples):
+    return diag(*[F(a * a, c * c) for a, _, c in triples])
+
+
+# the spread jobs of the benchmark's rational workload: (k, N) contractions
+# against a permuted presentation, and ell2 families against themselves
+SPREAD_SHAPES = [
+    pytest.param(
+        lambda T=T, N=N: from_contraction(pythagorean(*T), N),
+        lambda T=T, N=N: from_contraction(pythagorean(*reversed(T)), N),
+        id=f"contraction-k{len(T)}-N{N}",
+    )
+    for T, N in (
+        (((3, 4, 5),), 4), (((5, 12, 13),), 5), (((8, 15, 17), (7, 24, 25)), 4),
+        (((20, 21, 29), (12, 35, 37)), 5), (((3, 4, 5), (5, 12, 13), (8, 15, 17)), 4),
+    )
+] + [
+    pytest.param(lambda N=N: ell2_family(N), lambda N=N: ell2_family(N), id=f"ell2-N{N}")
+    for N in (4, 5, 6, 7, 8)
+]
+
+
+@pytest.mark.parametrize("build, build_partner", SPREAD_SHAPES)
+def test_a_shared_family_reports_what_fresh_families_report(build, build_partner):
+    fresh = [
+        operator_angle(build()).to_dict(),
+        tower_to_dict(minimal_sch(build())),
+        check_theorem_C(build()).to_dict(),
+        check_complete_invariant(build(), build_partner()).to_dict(),
+    ]
+    fam, partner = build(), build_partner()
+    assert bench_sequence(fam, partner) == fresh
+    assert bench_sequence(fam, partner) == fresh
+    assert bench_sequence(partner, fam)[3] == check_complete_invariant(
+        build_partner(), build()
+    ).to_dict()
+
+
+def test_a_family_that_is_not_spreadable_raises_on_every_call():
+    perturbed = from_contraction(diag(F(9, 25)), 4)
+    bump = Matrix.from_entries(perturbed.ambient_dim, 1, {(0, 0): F(1, 7)})
+    isometries = perturbed.isometries[:2] + [perturbed.iota(2) + bump]
+    cases = [((lambda: SpreadableFamily(1, perturbed.ambient_dim, isometries)), operator_angle)]
+    for build, _ in broken_shift_families():
+        cases += [(build, minimal_sch), (build, check_theorem_C)]
+    for build, analysis in cases:
+        with pytest.raises(NotSpreadableError) as fresh:
+            analysis(build())
+        shared = build()
+        for _ in range(2):
+            with pytest.raises(NotSpreadableError) as again:
+                analysis(shared)
+            assert (str(again.value), again.value.witness) == (str(fresh.value), fresh.value.witness)
 
 
 def test_minimal_sch_inverts_one_gram_for_all_solved_shifts(monkeypatch):
@@ -255,8 +367,7 @@ def test_minimal_sch_inverts_one_gram_for_all_solved_shifts(monkeypatch):
         return inverse(M)
 
     monkeypatch.setattr(Matrix, "inverse", counted)
-    fam = ell2_family(4)
-    fam.ambient_shifts = None
+    fam = dataclasses.replace(ell2_family(4), ambient_shifts=None)
     tower = minimal_sch(fam)
     assert len(tower.shifts) == 4
     assert calls == [(4, 4)]

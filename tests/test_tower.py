@@ -758,3 +758,19 @@ def test_a_dependent_level_basis_is_a_precondition_error():
     for analysis in (check_normal, build_symmetric_rep, lambda t: unitary_equivalence(t, tower)):
         with pytest.raises(PreconditionError, match="^the level-1 basis has dependent columns$"):
             analysis(dependent)
+
+
+def test_a_dependent_level_basis_stops_the_innovations():
+    # H_1 = span(e0, e1) given by e0, e1, e0 + e1 below the top: the one
+    # Gram–Schmidt pass still keeps dim H_3 vectors in all, so only a count
+    # taken level by level sees that level 1 keeps two, not three
+    tower = from_scs(prototypical(3))
+    spanning = Matrix.from_columns([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)])
+    dependent = replace(tower, level_bases=tower.level_bases[:2] + [spanning] + tower.level_bases[3:])
+    assert check_tower(dependent).ok
+    assert root_dimension_sequence(tower) == (0, 1, 0, 0, 0)
+    analyses = (innovation_bases, root_dimension_sequence, labeled_subspaces, check_toy_definetti)
+    message = "^the level-1 basis has dependent columns or does not contain level 0$"
+    for analysis in analyses:
+        with pytest.raises(PreconditionError, match=message):
+            analysis(dependent)
