@@ -18,7 +18,6 @@ from importlib import import_module
 _SOURCES = {
     "Label": "labels",
     "enumerate_labels": "labels",
-    "is_morphism": "labels",
     "join": "labels",
     "TruncatedSCS": "scs",
     "check_saturation": "scs",

@@ -56,7 +56,11 @@ class CochainComplex:
 def build_complex(scs: TruncatedSCS) -> CochainComplex:
     """Assemble the coboundary matrices from sparse ``{row: int}`` columns
     read off the shift maps (every source has level <= N-1, so each shift is
-    stored; the top coface α_N is the inclusion) after checking d∘d = 0."""
+    stored; the top coface α_N is the inclusion) after checking d∘d = 0.
+
+    Valid input is not validated: a failed lookup or a failed d∘d check
+    first validates, so an invalid structure raises
+    ``InvalidStructureError`` and only a valid one an internal error."""
     N = scs.max_level
     bases = {}
     for n in range(-1, N + 1):
@@ -84,6 +88,7 @@ def build_complex(scs: TruncatedSCS) -> CochainComplex:
                 for s, b in upper[r].items():
                     acc[s] = acc.get(s, 0) + a * b
             if any(acc.values()):
+                require_valid(scs, "build_complex")
                 raise InternalInconsistencyError(f"coboundary composition d^{n + 1} d^{n} != 0")
     matrices = {}
     for n in range(-1, N):

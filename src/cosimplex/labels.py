@@ -199,11 +199,6 @@ class LambdaMorphism:
         return tuple(b - a for a, b in zip(u, v))
 
 
-def is_morphism(source: Label, target: Label) -> bool:
-    """Whether target is the image of source under a strictly increasing map."""
-    return source.leq(target)
-
-
 def join(a: Label, b: Label) -> Label:
     """Least common upper bound of two same-rank labels.
 
@@ -237,11 +232,6 @@ def enumerate_labels(max_level: int, rank: int | None = None):
     return out
 
 
-def transpose_action(chi: Label, j: int) -> Label:
-    """Action of the adjacent transposition (j-1, j) on a label."""
-    return chi.transpose(j)
-
-
 def insertion_sequence(source: Label, target: Label):
     """Positions i_1, i_2, ... with ε_{i_m} ∘ ... ∘ ε_{i_1}(source) = target.
 
@@ -266,10 +256,6 @@ def insertion_sequence(source: Label, target: Label):
     if cur != list(target.support):
         raise InternalInconsistencyError(f"insertion sequence failed for {source} -> {target}")
     return seq
-
-
-def degree(source: Label, target: Label) -> tuple:
-    return LambdaMorphism(source, target).degree
 
 
 # -- skeleton graph -----------------------------------------------------------

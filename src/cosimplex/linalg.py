@@ -16,17 +16,16 @@ Determinism conventions used throughout the package:
   containment, subspace comparison and greedy column selection go through it;
 * ``Echelon._rref`` back-substitutes the stored rows in integers, giving
   the reduced row echelon form with each row scaled to primitive integers
-  and a positive pivot, which is unique for a given row space; kernel, solve
-  and inverse read their answers off it, and solve and inverse divide by the
-  pivot only in the columns they return;
+  and a positive pivot, which is unique for a given row space; kernel and
+  inverse read their answers off it, and inverse divides by the pivot only
+  in the columns it returns;
 * a matrix is eliminated by feeding ``Echelon`` its cached integer rows
   (``Matrix._echelon``): ``rank`` and ``independent_columns`` read the
   pivots, and ``Matrix._pivots_and_kernel`` is the one routine that reads
   the pivot columns and the primitive integer kernel vectors off one
   ``_rref`` pass, before any division; ``kernel`` is its Fraction view,
   and the cohomology layer calls it directly;
-* kernel bases set one free variable to 1 in ascending index order, and
-  ``solve`` sets every free variable to 0;
+* kernel bases set one free variable to 1 in ascending index order;
 * fixed vectors and the complements the tower layer cuts out are the images
   B x of those kernel vectors x (``_kernel_image``), each rescaled by
   ``primitive``;
@@ -340,24 +339,6 @@ class Matrix:
         they are the pivot columns of the reduced row echelon form."""
         return tuple(sorted(c for c, _, _ in self._echelon()._rows))
 
-    def column_space_basis(self):
-        return Matrix.from_columns([self.column(j) for j in self.independent_columns()], nrows=self.nrows)
-
-    def solve(self, b):
-        """One solution of ``self * x = b``, or None when inconsistent.
-
-        Free variables are set to zero, which makes the answer deterministic.
-        """
-        n = self.ncols
-        aug = self.hstack(Matrix.from_columns([tuple(b)], nrows=self.nrows))
-        R = aug._echelon()._rref(n + 1)
-        if R and R[-1][0] == n:
-            return None
-        x = [_F0] * n
-        for c, row in R:
-            x[c] = _ratio(row[n], row[c])
-        return tuple(x)
-
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("only square matrices have inverses")
@@ -505,10 +486,6 @@ def span_basis(vectors):
     """Greedy independent subset of ``vectors``, kept in input order."""
     ech = Echelon()
     return [tuple(_frac(x) for x in v) for v in vectors if ech.add(v)]
-
-
-def subspace_rank(vectors):
-    return len(Echelon(vectors))
 
 
 def subspace_contains(basis, v):

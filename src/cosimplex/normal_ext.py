@@ -21,11 +21,6 @@ from .labels import Label, enumerate_labels, insertion_sequence, join
 from .scs import Report, TruncatedSCS, infer_normal_labels, normal_label_bits, preimages, require_valid
 
 
-def normal_label(scs: TruncatedSCS, y) -> Label:
-    """Normal label of one element (level <= N-1 required)."""
-    return Label(normal_label_bits(scs, y))
-
-
 @dataclass
 class NormalLabelTable:
     """Normal labels for all determinable elements.
@@ -73,11 +68,11 @@ def check_epsilon_lemma(scs: TruncatedSCS) -> EpsilonLemmaReport:
     for y, lv in scs.levels.items():
         if lv > N - 2:
             continue
-        base = normal_label(scs, y)
+        base = Label(normal_label_bits(scs, y))
         for j in range(0, max(0, N)):
             img = scs.alpha(j, y)
             cases += 1
-            lhs = normal_label(scs, img)
+            lhs = Label(normal_label_bits(scs, img))
             rhs = base.insert_zero(j)
             if lhs != rhs:
                 failures.append(

@@ -49,9 +49,6 @@ class TruncatedSCS:
     def elements(self):
         return sorted(self.levels)
 
-    def level(self, x) -> int:
-        return self.levels[x]
-
     def name(self, x) -> str:
         return self.names.get(x, str(x))
 
@@ -291,7 +288,6 @@ class SaturationResult(Report):
     """
 
     level: int
-    up_to: int | None
     holds: bool
     truncation_limited: bool
     witnesses: list
@@ -300,8 +296,8 @@ class SaturationResult(Report):
         return self.holds
 
 
-def check_saturation(scs: TruncatedSCS, n: int, up_to: int | None = None) -> SaturationResult:
-    """Is X_n exactly the α_{n+1}-fixed part (optionally within X_m)?
+def check_saturation(scs: TruncatedSCS, n: int) -> SaturationResult:
+    """Is X_n exactly the α_{n+1}-fixed part?
 
     X_n ⊆ fixed(α_{n+1}) always holds in a valid structure, so the content is
     the reverse inclusion.  Level-N elements cannot be tested for fixedness
@@ -310,13 +306,10 @@ def check_saturation(scs: TruncatedSCS, n: int, up_to: int | None = None) -> Sat
     N = scs.max_level
     if not (-1 <= n <= N - 2):
         raise ValueError(f"check_saturation needs -1 <= n <= {N - 2}, got {n}")
-    if up_to is not None and up_to < n:
-        raise ValueError("up_to must be >= n")
     fixed = fixed_set(scs, n + 1)
-    scope = scs.elements() if up_to is None else sorted(scs.X(up_to))
     witnesses = []
     limited = False
-    for x in scope:
+    for x in scs.elements():
         if scs.levels[x] <= n:
             continue  # in X_n already
         if scs.levels[x] > N - 1:
@@ -324,7 +317,7 @@ def check_saturation(scs: TruncatedSCS, n: int, up_to: int | None = None) -> Sat
             continue
         if x in fixed:
             witnesses.append(x)
-    return SaturationResult(n, up_to, not witnesses, limited, witnesses)
+    return SaturationResult(n, not witnesses, limited, witnesses)
 
 
 # -- normal labels (used by saturation; full treatment in normal_ext) -----------

@@ -422,11 +422,12 @@ def _verify_identity_intertwiner(fam_a, fam_b) -> bool:
     if fam_a.ambient_dim != fam_b.ambient_dim:
         # different ambients: the Gram equality already certifies the unitary
         return True
-    sel = Sa.independent_columns()
-    src = Matrix.from_columns([cols_a[j] for j in sel], nrows=fam_a.ambient_dim)
-    dst = Matrix.from_columns([cols_b[j] for j in sel], nrows=fam_b.ambient_dim)
-    U = dst * pseudo_inverse(src)
-    return intertwines(U, minimal_sch(fam_a), minimal_sch(fam_b))
+    # equal spanning Grams give both spanning sets the same column
+    # dependencies, so both top levels hold the same pivot columns
+    tower_a, tower_b = minimal_sch(fam_a), minimal_sch(fam_b)
+    N = tower_a.max_level
+    U = tower_b.basis(N) * pseudo_inverse(tower_a.basis(N))
+    return intertwines(U, tower_a, tower_b)
 
 
 # -- floating path ----------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .errors import (
     NotNormalError,
     PreconditionError,
 )
-from .labels import Label, enumerate_labels, transpose_action
+from .labels import Label, enumerate_labels
 from .linalg import (
     Matrix,
     _gram_schmidt_groups,
@@ -87,11 +87,10 @@ class HilbertTower:
             return self.shifts[i]
         return Matrix.identity(self.ambient_dim)
 
-    def coface(self, i: int, n: int) -> Matrix:
-        """The coface from H_{n-1} to H_n (the shift for i < n, inclusion above)."""
-        if i >= n:
-            return Matrix.identity(self.ambient_dim)
-        return self.alpha(i)
+    def coface(self, i: int, n: int, M):
+        """The coface H_{n-1} -> H_n applied to ``M``: the shift for i < n,
+        the inclusion (``M`` itself) above."""
+        return M if i >= n else self.alpha(i) * M
 
 
 def check_tower(tower: HilbertTower) -> CheckReport:
@@ -258,14 +257,10 @@ def check_toy_definetti(tower: HilbertTower) -> CheckReport:
 # -- labeled subspaces ------------------------------------------------------------------
 
 
-def root_space(tower: HilbertTower, k: int) -> list:
+def root_space(tower: HilbertTower, k: int, innov: dict) -> list:
     """Vectors of the level-k innovation orthogonal to every shifted copy of
-    the previous innovation (level-k root vectors)."""
-    return _root_space(tower, k, innovation_bases(tower))
-
-
-def _root_space(tower: HilbertTower, k: int, innov: dict) -> list:
-    """``root_space`` from the innovation bases by level."""
+    the previous innovation (level-k root vectors), from the innovation
+    bases ``innov`` by level."""
     if k <= 0:
         return innov[k]
     shifted = [tower.alpha(i) * v for i in range(0, k) for v in innov[k - 1]]
@@ -301,7 +296,7 @@ def labeled_subspaces(tower: HilbertTower, innov: dict | None = None) -> dict:
     out = {}
     innov = innovation_bases(tower) if innov is None else innov
     for k in range(-1, N + 1):
-        basis = _root_space(tower, k, innov)
+        basis = root_space(tower, k, innov)
         if basis:
             out.update(_label_images(tower, k, basis))
     # every level is spanned by its labeled subspaces
@@ -324,25 +319,20 @@ class NormalityReport(Report):
     details: dict
 
 
-def check_normal(tower: HilbertTower, details: bool = True) -> NormalityReport:
+def check_normal(tower: HilbertTower) -> NormalityReport:
     """Evaluate the three normality criteria and assert they agree.
 
     (c) the adjoint exchange relation δ_{j-1} δ_i* = δ_i* δ_j on every level;
     (d) shifts map complements of coface images into the next complements;
     (e) pairwise orthogonality of the labeled subspaces.
     """
-    return _check_normal(tower, details)[0]
+    return _check_normal(tower, details=True)[0]
 
 
 def _check_normal(tower: HilbertTower, details: bool) -> tuple:
     """(``check_normal`` report, the labeled subspaces it built)."""
     N = tower.max_level
     info = {}
-
-    def push(i: int, n: int, M):
-        """The coface H_{n-1} -> H_n applied to ``M``: the shift for i < n,
-        the inclusion (``M`` itself) above."""
-        return M if i >= n else tower.shifts[i] * M
 
     def adjoints(n: int) -> list:
         """Adjoints of the cofaces into H_n, i = 0..n, as ambient matrices
@@ -356,7 +346,7 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
             P = pseudo_inverse(B).transpose()
         except ValueError:
             raise PreconditionError(f"the level-{n - 1} basis has dependent columns") from None
-        return [P * push(i, n, B).transpose() for i in range(n + 1)]
+        return [P * tower.coface(i, n, B).transpose() for i in range(n + 1)]
 
     ok_c = True
     adj_low = adjoints(0) if N > 0 else []
@@ -365,9 +355,9 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
         adj_high = adjoints(k + 1)
         low = [adj * Bk for adj in adj_low]
         for j in range(1, k + 2):
-            pushed = push(j, k + 1, Bk)
+            pushed = tower.coface(j, k + 1, Bk)
             for i in range(0, j):
-                if push(j - 1, k, low[i]) != adj_high[i] * pushed:
+                if tower.coface(j - 1, k, low[i]) != adj_high[i] * pushed:
                     ok_c = False
                     info.setdefault("adjoint_witness", {"i": i, "j": j, "k": k})
         adj_low = adj_high
@@ -376,11 +366,11 @@ def _check_normal(tower: HilbertTower, details: bool) -> tuple:
     for k in range(0, N):
         prev, Bk = tower.basis(k - 1), tower.basis(k)
         # columns spanning H_k ⊖ δ_i H_{k-1}: B_k times the kernel of (δ_i B_{k-1})ᵀ B_k
-        comp = [Bk * (push(i, k, prev).transpose() * Bk).kernel() for i in range(k + 1)]
-        img_cur = [push(i, k + 1, Bk).columns() for i in range(k + 1)]
+        comp = [Bk * (tower.coface(i, k, prev).transpose() * Bk).kernel() for i in range(k + 1)]
+        img_cur = [tower.coface(i, k + 1, Bk).columns() for i in range(k + 1)]
         for j in range(1, k + 2):
             for i in range(0, j):
-                if not orthogonal(push(j, k + 1, comp[i]).columns(), img_cur[i]):
+                if not orthogonal(tower.coface(j, k + 1, comp[i]).columns(), img_cur[i]):
                     ok_d = False
                     info.setdefault("complement_witness", {"i": i, "j": j, "k": k})
 
@@ -486,7 +476,7 @@ def build_symmetric_rep(tower: HilbertTower) -> HessenbergData:
     for j in range(1, N + 1):
         cols = []
         for lab in subspaces:
-            target = transpose_action(lab, j)
+            target = lab.transpose(j)
             if target.level > N:
                 raise PreconditionError(
                     f"generator u_{j} leaves the truncation on label {lab}"
@@ -693,7 +683,7 @@ class EquivalenceResult:
 
 def root_dimension_sequence(tower: HilbertTower) -> tuple:
     innov = innovation_bases(tower)
-    return tuple(len(_root_space(tower, k, innov)) for k in range(-1, tower.max_level + 1))
+    return tuple(len(root_space(tower, k, innov)) for k in range(-1, tower.max_level + 1))
 
 
 def intertwines(U: Matrix, a: HilbertTower, b: HilbertTower) -> bool:

@@ -26,7 +26,7 @@ from cosimplex.fixtures import (
     rotate_tower,
 )
 from cosimplex.labels import enumerate_labels, insertion_sequence, skeleton_edges
-from cosimplex.linalg import Matrix, gram_schmidt, primitive, subspace_rank
+from cosimplex.linalg import Matrix, gram_schmidt, primitive, span_basis
 from cosimplex.normal_ext import labeled_subsets, root_elements
 from cosimplex.scs import TruncatedSCS, disjoint_union, from_ell
 from cosimplex.tower import (
@@ -47,7 +47,7 @@ def per_level_innovations(tower):
     for k in range(-1, tower.max_level + 1):
         prev = tower.basis(k - 1).columns() if k >= 0 else []
         ortho = gram_schmidt(list(prev) + list(tower.basis(k).columns()))
-        out[k] = ortho[subspace_rank(prev):]
+        out[k] = ortho[len(span_basis(prev)):]
     return out
 
 

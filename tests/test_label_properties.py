@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosimplex.labels import Label, join, transpose_action
+from cosimplex.labels import Label, join
 
 bits = st.lists(st.integers(min_value=0, max_value=1), max_size=10)
 labels = bits.map(Label)
@@ -38,8 +38,8 @@ def test_insertion_keeps_rank(lab, i):
 
 @given(labels, st.integers(min_value=1, max_value=10))
 def test_transposition_involution(lab, j):
-    out = transpose_action(lab, j)
-    assert transpose_action(out, j) == lab
+    out = lab.transpose(j)
+    assert out.transpose(j) == lab
     assert out.rank == lab.rank
 
 

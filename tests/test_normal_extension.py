@@ -24,7 +24,6 @@ from cosimplex.normal_ext import (
     labeled_subsets,
     layer_scs,
     minimal_normal_extension,
-    normal_label,
     normal_label_table,
     root_elements,
 )
@@ -34,6 +33,7 @@ from cosimplex.scs import (
     check_toy_definetti_scs,
     disjoint_union,
     from_ell,
+    normal_label_bits,
     saturate,
     validate,
 )
@@ -53,12 +53,12 @@ def random_valid_ell(rng, N):
 def test_normal_labels_prototypical():
     scs = prototypical(6)
     for n in range(6):
-        assert normal_label(scs, n) == Label.from_support([n])
+        assert Label(normal_label_bits(scs, n)) == Label.from_support([n])
 
 
 def test_normal_labels_example2():
     scs = example2_scs(5)
-    assert normal_label(scs, 1) == Label.from_support([1])
+    assert Label(normal_label_bits(scs, 1)) == Label.from_support([1])
     table = normal_label_table(scs)
     assert table.labels[5] == Label.from_support([5])  # inferred through a shift
     assert 5 in table.inferred
@@ -68,8 +68,8 @@ def test_normal_labels_example2():
 def test_normal_labels_figure2():
     scs = figure2_scs()
     ids = {name: x for x, name in scs.names.items()}
-    assert normal_label(scs, ids["a"]) == Label.parse("011")
-    assert normal_label(scs, ids["b"]) == Label.parse("101")
+    assert Label(normal_label_bits(scs, ids["a"])) == Label.parse("011")
+    assert Label(normal_label_bits(scs, ids["b"])) == Label.parse("101")
     table = normal_label_table(scs)
     assert table.labels[ids["x"]] == Label.parse("0011")
     assert table.labels[ids["y"]] == Label.parse("0101")
@@ -310,6 +310,18 @@ def test_analyses_without_validation_reject_a_dangling_target_where_they_meet_it
     with pytest.raises(InvalidStructureError) as info:
         analysis(bad)
     assert str(info.value) == f"{name} needs a valid structure: alpha_0(0) is not an element"
+
+
+@pytest.mark.parametrize("analysis", [build_complex, check_cocycle_identities])
+def test_cohomology_rejects_a_broken_exchange_relation_as_invalid_input(analysis):
+    # every target lies on the next level, so only the d∘d check meets the
+    # fault, and it names the violation instead of reporting an internal bug
+    bad = _with_alpha(prototypical(3), 0, 1, 0)
+    with pytest.raises(InvalidStructureError) as info:
+        analysis(bad)
+    assert str(info.value) == (
+        "build_complex needs a valid structure: alpha_1 alpha_0 != alpha_0 alpha_0 at 0"
+    )
 
 
 def test_classify_two_copies():

@@ -158,14 +158,16 @@ def test_prototypical_is_saturated():
 def test_example2_saturation_pattern():
     scs = example2_scs(5)
     assert check_saturation(scs, -1).holds
-    res = check_saturation(scs, 2, up_to=3)
+    res = check_saturation(scs, 2)
     assert not res.holds
     assert res.witnesses == [1]
-    assert not res.truncation_limited
-    # saturated at level 0 up to level 1 (both sides empty)
-    assert check_saturation(scs, 0, up_to=1).holds
+    # the level-5 element cannot be tested for fixedness
+    assert res.truncation_limited
+    # saturated at level 0 up to level 1: no witness of level <= 1
+    res = check_saturation(scs, 0)
+    assert all(scs.levels[x] > 1 for x in res.witnesses)
     # but not at level 0 unrestricted: element 0 is fixed by alpha_1
-    assert not check_saturation(scs, 0).holds
+    assert not res.holds
 
 
 def test_saturate_example2_gives_prototypical_levels():

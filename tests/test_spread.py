@@ -11,7 +11,7 @@ from cosimplex import spread
 from cosimplex.errors import NotSpreadableError, PreconditionError
 from cosimplex.fixtures import ell2_family, ell2_tower, prototypical
 from cosimplex.io_json import tower_to_dict
-from cosimplex.linalg import Matrix, primitive
+from cosimplex.linalg import Matrix, primitive, pseudo_inverse
 from cosimplex.spread import (
     SpreadableFamily,
     check_complete_invariant,
@@ -114,7 +114,8 @@ def test_ell2_shift_decomposition_coefficients():
     tower = ell2_tower(5)
     g0, g1, g2 = (innovation_bases(tower)[k][0] for k in (0, 1, 2))
     image = tower.alpha(0) * g1
-    sol = Matrix.from_columns([g0, g1, g2]).solve(image)
+    # exact: the image lies in the span of g0, g1, g2
+    sol = pseudo_inverse(Matrix.from_columns([g0, g1, g2])) * image
     assert sol == (F(1, 2), F(-1, 6), F(2, 3))
 
 
@@ -303,6 +304,23 @@ def test_the_bench_sequence_derives_each_piece_once_per_family(monkeypatch, buil
     assert all(n == "_fixed_projection" and a is not fam.ambient_shifts[0] for n, a in calls)
 
 
+def test_the_identity_intertwiner_reuses_the_minimal_towers(monkeypatch):
+    """Equal spanning Grams give both families the same pivot columns, so the
+    intertwiner maps the top basis of one cached tower onto the other's and
+    eliminates no spanning set again: one elimination per family."""
+    calls = []
+    select = Matrix.independent_columns
+
+    def counted(self):
+        calls.append(self.ncols)
+        return select(self)
+
+    monkeypatch.setattr(Matrix, "independent_columns", counted)
+    sequence = bench_sequence(ell2_family(6), ell2_family(6))
+    assert sequence[3]["intertwiner_verified"]
+    assert calls == [7, 7]
+
+
 def pythagorean(*triples):
     return diag(*[F(a * a, c * c) for a, _, c in triples])
 
@@ -471,6 +489,7 @@ def test_minimal_tower_has_only_level_zero_roots():
 
     for fam in (from_contraction(diag(F(9, 25), F(16, 25)), 4), ell2_family(5)):
         tower = minimal_sch(fam)
-        assert len(root_space(tower, 0)) == tower.dim(0)
+        innov = innovation_bases(tower)
+        assert len(root_space(tower, 0, innov)) == tower.dim(0)
         for k in range(1, tower.max_level):
-            assert root_space(tower, k) == []
+            assert root_space(tower, k, innov) == []
