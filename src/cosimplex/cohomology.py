@@ -157,37 +157,28 @@ def cohomology(cx: CochainComplex) -> CohomologyReport:
     levels = []
     caveats = []
     for k in range(-1, N + 1):
-        dim = len(cx.basis(k))
         bound = solved[k - 1][0]
-        if k <= N - 1:
+        kernel_known = k <= N - 1
+        if kernel_known:
             cyc = solved[k][1]
             if not subspace_leq(bound, cyc):
                 raise InternalInconsistencyError(f"coboundaries not inside cocycles at level {k}")
-            entry = LevelCohomology(
-                level=k,
-                dim_space=dim,
-                dim_cocycles=len(cyc),
-                dim_coboundaries=len(bound),
-                dim_cohomology=len(cyc) - len(bound),
-                kernel_known=True,
-                cocycle_basis=_strings(cyc),
-                coboundary_basis=_strings(bound),
-            )
         else:
+            cyc = []
             caveats.append(
                 f"level {k}: kernel of d^{k} needs data beyond the truncation; "
                 "coboundaries only"
             )
-            entry = LevelCohomology(
-                level=k,
-                dim_space=dim,
-                dim_cocycles=None,
-                dim_coboundaries=len(bound),
-                dim_cohomology=None,
-                kernel_known=False,
-                cocycle_basis=[],
-                coboundary_basis=_strings(bound),
-            )
+        entry = LevelCohomology(
+            level=k,
+            dim_space=len(cx.basis(k)),
+            dim_cocycles=len(cyc) if kernel_known else None,
+            dim_coboundaries=len(bound),
+            dim_cohomology=len(cyc) - len(bound) if kernel_known else None,
+            kernel_known=kernel_known,
+            cocycle_basis=_strings(cyc),
+            coboundary_basis=_strings(bound),
+        )
         levels.append(entry)
     return CohomologyReport(levels, caveats)
 

@@ -10,7 +10,8 @@ All builders are deterministic.  The set-level fixtures:
   elements a, b (level 2) and x, y, z (level 3) whose labeled subsets
   overlap, the standard saturated-but-not-normal example;
 * ``layered_scs(root_dims, N)`` — disjoint layers with prescribed
-  multiplicities, the canonical normal structures.
+  multiplicities, the canonical normal structures;
+* ``disjoint_union(a, b)`` — two structures side by side, b renumbered.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .linalg import Matrix
-from .scs import TruncatedSCS, disjoint_union, from_ell, prototypical
+from .scs import TruncatedSCS, from_ell, prototypical
 
 if TYPE_CHECKING:
     from .tower import HilbertTower
@@ -31,6 +32,7 @@ __all__ = [
     "figure2_scs",
     "layered_scs",
     "layer_minus_root_scs",
+    "disjoint_union",
     "identity_shift_tower",
     "rotate_tower",
     "random_signed_permutation",
@@ -90,18 +92,28 @@ def layer_minus_root_scs(rank: int, N: int) -> TruncatedSCS:
 def layered_scs(root_dims, N: int) -> TruncatedSCS:
     """Disjoint union of layers: root_dims[k] copies of the rank k+1 layer,
     with root_dims indexed from level -1 (rank 0) upward."""
-    from .normal_ext import layer_scs
-    result = None
-    copy = 0
-    for offset, mult in enumerate(root_dims):
-        rank = offset  # level -1 roots have rank 0
-        for _ in range(mult):
-            layer = layer_scs(rank, N, name_prefix=f"c{copy}:")
-            result = layer if result is None else disjoint_union(result, layer)
-            copy += 1
-    if result is None:
-        return TruncatedSCS(N, {}, tuple({} for _ in range(max(0, N))), {})
-    return result
+    from .normal_ext import layer_union
+    ranks = [rank for rank, mult in enumerate(root_dims) for _ in range(mult)]
+    return layer_union([(rank, f"c{copy}:") for copy, rank in enumerate(ranks)], N)[0]
+
+
+def disjoint_union(a: TruncatedSCS, b: TruncatedSCS) -> TruncatedSCS:
+    """Side-by-side union; elements of b are renumbered above those of a."""
+    if a.max_level != b.max_level:
+        raise ValueError("disjoint_union needs equal truncation levels")
+    offset = (max(a.levels) + 1) if a.levels else 0
+    levels = dict(a.levels)
+    names = dict(a.names)
+    for x, lv in b.levels.items():
+        levels[x + offset] = lv
+        names[x + offset] = b.name(x)
+    shifts = []
+    for i in range(max(0, a.max_level)):
+        m = dict(a.shifts[i])
+        for x, y in b.shifts[i].items():
+            m[x + offset] = y + offset
+        shifts.append(m)
+    return TruncatedSCS(a.max_level, levels, tuple(shifts), names)
 
 
 # -- tower fixtures --------------------------------------------------------------

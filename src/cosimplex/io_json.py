@@ -21,10 +21,6 @@ if TYPE_CHECKING:
     from .tower import HilbertTower
 
 
-def _frac_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _str_to_frac(s) -> Fraction:
     try:
         return Fraction(s)
@@ -33,7 +29,7 @@ def _str_to_frac(s) -> Fraction:
 
 
 def matrix_to_json(mat: Matrix) -> list:
-    return [[_frac_to_str(x) for x in mat.row(i)] for i in range(mat.nrows)]
+    return [[str(x) for x in mat.row(i)] for i in range(mat.nrows)]
 
 
 def matrix_from_json(data, ncols=None) -> Matrix:

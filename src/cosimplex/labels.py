@@ -236,24 +236,19 @@ def insertion_sequence(source: Label, target: Label):
     """Positions i_1, i_2, ... with ε_{i_m} ∘ ... ∘ ε_{i_1}(source) = target.
 
     Applying insert_zero at the returned positions in order transforms source
-    into target, raising the level by one at every step.  The choice of
-    positions is the deterministic one that finishes each gap coordinate from
-    the highest down.
+    into target, raising the level by one at every step.  Closed form, with s
+    the support of source, k its rank and d the multidegree: gap coordinate
+    c = k..1 grows d[c-1] times at position s[c-2] + 1 (0 for c = 1), highest
+    first, so no insertion moves the bits below a later one.
     """
-    LambdaMorphism(source, target)  # validates existence
+    s, d = source.support, LambdaMorphism(source, target).degree
     seq = []
-    cur = list(source.support)
-    tgt = target.upsilon()
-    k = len(cur)
-    for c in range(k, 0, -1):  # gap coordinate, 1-indexed
-        while True:
-            gap = cur[c - 1] - cur[c - 2] - 1 if c >= 2 else cur[0]
-            if gap >= tgt[c - 1]:
-                break
-            i = cur[c - 2] + 1 if c >= 2 else 0
-            cur = [x if x < i else x + 1 for x in cur]
-            seq.append(i)
-    if cur != list(target.support):
+    for c in range(len(s), 0, -1):  # gap coordinate, 1-indexed
+        seq += [s[c - 2] + 1 if c >= 2 else 0] * d[c - 1]
+    reached = source
+    for i in seq:
+        reached = reached.insert_zero(i)
+    if reached != target:
         raise InternalInconsistencyError(f"insertion sequence failed for {source} -> {target}")
     return seq
 

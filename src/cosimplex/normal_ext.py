@@ -34,9 +34,6 @@ class NormalLabelTable:
     inferred: frozenset
     unknown: frozenset
 
-    def get(self, y) -> Label | None:
-        return self.labels.get(y)
-
     def require(self, y) -> Label:
         if y not in self.labels:
             raise TruncationError(f"normal label of element {y} is undecidable", items=[y])
@@ -154,6 +151,7 @@ def equivalence_classes(scs: TruncatedSCS) -> ClassPartition:
     their labels, and flagged undecided when the pushes run off the stored
     levels.
     """
+    require_valid(scs, "equivalence_classes")
     parent = {y: y for y in scs.levels}
 
     def find(a):
@@ -167,14 +165,10 @@ def equivalence_classes(scs: TruncatedSCS) -> ClassPartition:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    try:
-        table = normal_label_table(scs)
-        for mapping in scs.shifts:
-            for x, y in mapping.items():
-                union(x, y)
-    except KeyError:  # a shift entry missing, or a target outside the element set
-        require_valid(scs, "equivalence_classes")
-        raise
+    table = normal_label_table(scs)
+    for mapping in scs.shifts:
+        for x, y in mapping.items():
+            union(x, y)
 
     undecided = []
     reps = sorted({find(y) for y in scs.levels})
@@ -183,7 +177,7 @@ def equivalence_classes(scs: TruncatedSCS) -> ClassPartition:
             a, b = reps[idx_a], reps[idx_b]
             if find(a) == find(b):
                 continue
-            la, lb = table.get(a), table.get(b)
+            la, lb = table.labels.get(a), table.labels.get(b)
             if la is None or lb is None:
                 undecided.append({"pair": [a, b], "reason": "label undecidable"})
                 continue
@@ -209,25 +203,30 @@ def equivalence_classes(scs: TruncatedSCS) -> ClassPartition:
 # -- layers and the minimal normal extension ------------------------------------------
 
 
-def _layer_with_ids(rank: int, N: int, name_prefix: str = ""):
-    labs = enumerate_labels(N, rank=rank)
-    ids = {lab: idx for idx, lab in enumerate(labs)}
-    levels = {ids[lab]: lab.level for lab in labs}
-    names = {ids[lab]: f"{name_prefix}{lab}" for lab in labs}
-    shifts = []
-    for i in range(max(0, N)):
-        mapping = {}
+def layer_union(specs, N: int):
+    """The disjoint union of the layers ``layer_scs(rank, N, name_prefix)``
+    for the (rank, name_prefix) pairs of ``specs``, built in one pass and
+    numbered layer by layer, labels in ``enumerate_labels`` order; returned
+    with each layer's label -> element-id map."""
+    levels, names, label_ids = {}, {}, []
+    shifts = tuple({} for _ in range(max(0, N)))
+    for rank, name_prefix in specs:
+        labs = enumerate_labels(N, rank=rank)
+        ids = {lab: len(levels) + idx for idx, lab in enumerate(labs)}
         for lab in labs:
+            levels[ids[lab]] = lab.level
+            names[ids[lab]] = f"{name_prefix}{lab}"
             if lab.level <= N - 1:
-                mapping[ids[lab]] = ids[lab.insert_zero(i)]
-        shifts.append(mapping)
-    return TruncatedSCS(N, levels, tuple(shifts), names), ids
+                for i, mapping in enumerate(shifts):
+                    mapping[ids[lab]] = ids[lab.insert_zero(i)]
+        label_ids.append(ids)
+    return TruncatedSCS(N, levels, shifts, names), label_ids
 
 
 def layer_scs(rank: int, N: int, name_prefix: str = "") -> TruncatedSCS:
     """The truncated single-root layer of the given rank: elements are the
     labels of that rank up to level N, shifted by zero insertion."""
-    return _layer_with_ids(rank, N, name_prefix)[0]
+    return layer_union([(rank, name_prefix)], N)[0]
 
 
 @dataclass
@@ -235,7 +234,6 @@ class ExtensionResult:
     extension: TruncatedSCS
     embedding: dict  # original id -> extension id
     layer_ranks: list  # rank of each layer, in construction order
-    layer_of: dict  # original id -> layer index
 
     def to_dict(self):
         return {
@@ -269,13 +267,7 @@ def _extension(scs: TruncatedSCS, part: ClassPartition) -> ExtensionResult:
             f"{len(part.undecided_pairs)} element pairs undecidable at this truncation",
             items=[tuple(p["pair"]) for p in part.undecided_pairs],
         )
-    N = scs.max_level
-    extension = None
-    embedding = {}
     layer_ranks = []
-    layer_of = {}
-    from .scs import disjoint_union
-
     for idx, cls in enumerate(part.classes):
         labels_here = {y: part.table.require(y) for y in cls}
         ranks = {lab.rank for lab in labels_here.values()}
@@ -291,17 +283,14 @@ def _extension(scs: TruncatedSCS, part: ClassPartition) -> ExtensionResult:
                     f"normal label {lab} inside one class"
                 )
             by_label[lab] = y
-        rank = ranks.pop()
-        layer, label_to_layer_id = _layer_with_ids(rank, N, name_prefix=f"L{idx}:")
-        offset = (max(extension.levels) + 1) if extension and extension.levels else 0
-        for y, lab in labels_here.items():
-            embedding[y] = label_to_layer_id[lab] + offset
-            layer_of[y] = idx
-        extension = layer if extension is None else disjoint_union(extension, layer)
-        layer_ranks.append(rank)
-    if extension is None:
-        extension = TruncatedSCS(N, {}, tuple({} for _ in range(max(0, N))), {})
-    return ExtensionResult(extension, embedding, layer_ranks, layer_of)
+        layer_ranks.append(ranks.pop())
+    extension, label_ids = layer_union(
+        [(rank, f"L{idx}:") for idx, rank in enumerate(layer_ranks)], scs.max_level
+    )
+    embedding = {
+        y: ids[part.table.labels[y]] for ids, cls in zip(label_ids, part.classes) for y in cls
+    }
+    return ExtensionResult(extension, embedding, layer_ranks)
 
 
 # -- classification ----------------------------------------------------------------------

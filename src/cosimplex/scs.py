@@ -250,25 +250,6 @@ def from_ell(values, N: int) -> TruncatedSCS:
     return TruncatedSCS(N, levels, shifts)
 
 
-def disjoint_union(a: TruncatedSCS, b: TruncatedSCS) -> TruncatedSCS:
-    """Side-by-side union; elements of b are renumbered above those of a."""
-    if a.max_level != b.max_level:
-        raise ValueError("disjoint_union needs equal truncation levels")
-    offset = (max(a.levels) + 1) if a.levels else 0
-    levels = dict(a.levels)
-    names = dict(a.names)
-    for x, lv in b.levels.items():
-        levels[x + offset] = lv
-        names[x + offset] = b.name(x)
-    shifts = []
-    for i in range(max(0, a.max_level)):
-        m = dict(a.shifts[i])
-        for x, y in b.shifts[i].items():
-            m[x + offset] = y + offset
-        shifts.append(m)
-    return TruncatedSCS(a.max_level, levels, tuple(shifts), names)
-
-
 # -- fixed sets and saturation ---------------------------------------------------
 
 

@@ -626,10 +626,11 @@ def check_hessenberg(data: HessenbergData) -> CheckReport:
         report.record(name, {"j": j, "i": i}, ok)
 
     # fixed space of alpha_n = joint fixed space J_n of the generators above
-    # n, built downward: J_n = Fix(u_{n+1}) ∩ J_{n+1} from J_M = H_{N-1}
+    # n, built downward: J_n = Fix(u_{n+1}) ∩ J_{n+1} from J_M = H_{N-1}, each
+    # independent (innovation_bases counted H_{N-1} above; fixed_vectors keeps it)
     joint = [tower.basis(N - 1).columns()] * (max(N, M) + 1)
     for n in range(M - 1, -1, -1):
-        B = Matrix.from_columns(span_basis(joint[n + 1]), nrows=tower.ambient_dim)
+        B = Matrix.from_columns(joint[n + 1], nrows=tower.ambient_dim)
         joint[n] = fixed_vectors(data.u(n + 1), B)
     for n in range(0, N):
         fix, _ = fixed_space(tower, n)

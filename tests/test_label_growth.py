@@ -15,6 +15,7 @@ import pytest
 
 from cosimplex import tower as tower_mod
 from cosimplex.fixtures import (
+    disjoint_union,
     ell2_tower,
     example2_scs,
     figure2_scs,
@@ -28,7 +29,7 @@ from cosimplex.fixtures import (
 from cosimplex.labels import enumerate_labels, insertion_sequence, skeleton_edges
 from cosimplex.linalg import Matrix, gram_schmidt, primitive, span_basis
 from cosimplex.normal_ext import labeled_subsets, root_elements
-from cosimplex.scs import TruncatedSCS, disjoint_union, from_ell
+from cosimplex.scs import TruncatedSCS, from_ell
 from cosimplex.tower import (
     build_symmetric_rep,
     check_hessenberg,

@@ -250,6 +250,36 @@ def test_insertion_sequence_reaches_target():
             assert len(seq) == v.level - u.level
 
 
+def gap_walk_insertion_sequence(source: Label, target: Label):
+    """Reference: widen one gap coordinate at a time, from the highest down,
+    inserting a zero right after the bit below it until the coordinate
+    reaches the target's."""
+    seq = []
+    cur = list(source.support)
+    tgt = target.upsilon()
+    for c in range(len(cur), 0, -1):  # gap coordinate, 1-indexed
+        while True:
+            gap = cur[c - 1] - cur[c - 2] - 1 if c >= 2 else cur[0]
+            if gap >= tgt[c - 1]:
+                break
+            i = cur[c - 2] + 1 if c >= 2 else 0
+            cur = [x if x < i else x + 1 for x in cur]
+            seq.append(i)
+    assert cur == list(target.support)
+    return seq
+
+
+def test_insertion_sequence_from_the_multidegree_equals_the_gap_walk():
+    labels = enumerate_labels(7)
+    pairs = 0
+    for u in labels:
+        for v in labels:
+            if u.leq(v):
+                pairs += 1
+                assert insertion_sequence(u, v) == gap_walk_insertion_sequence(u, v)
+    assert pairs > 1000
+
+
 # -- enumeration and skeleton --------------------------------------------------------------------
 
 

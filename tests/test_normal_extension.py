@@ -1,6 +1,7 @@
 """Normal labels, equivalence classes, extensions and classification."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -8,13 +9,14 @@ from cosimplex import normal_ext
 from cosimplex.cohomology import build_complex, check_cocycle_identities, explicit_cocycles
 from cosimplex.errors import InvalidStructureError, TruncationError
 from cosimplex.fixtures import (
+    disjoint_union,
     example2_scs,
     figure2_scs,
     layer_minus_root_scs,
     layered_scs,
     prototypical,
 )
-from cosimplex.labels import Label
+from cosimplex.labels import Label, enumerate_labels
 from cosimplex.normal_ext import (
     check_epsilon_lemma,
     classify,
@@ -31,7 +33,6 @@ from cosimplex.scs import (
     TruncatedSCS,
     check_saturation,
     check_toy_definetti_scs,
-    disjoint_union,
     from_ell,
     normal_label_bits,
     saturate,
@@ -249,6 +250,114 @@ def test_extension_truncation_error_on_undecidable():
         minimal_normal_extension(scs)
 
 
+def reference_layer(rank, N, name_prefix):
+    """Reference: one single-root layer numbered from 0, and its label ->
+    element-id map."""
+    labs = enumerate_labels(N, rank=rank)
+    ids = {lab: idx for idx, lab in enumerate(labs)}
+    levels = {ids[lab]: lab.level for lab in labs}
+    names = {ids[lab]: f"{name_prefix}{lab}" for lab in labs}
+    shifts = []
+    for i in range(max(0, N)):
+        mapping = {}
+        for lab in labs:
+            if lab.level <= N - 1:
+                mapping[ids[lab]] = ids[lab.insert_zero(i)]
+        shifts.append(mapping)
+    return TruncatedSCS(N, levels, tuple(shifts), names), ids
+
+
+def reference_union(specs, N):
+    """Reference: the (rank, name_prefix) layers folded pairwise by
+    ``disjoint_union``, with each layer's label map moved by its offset."""
+    result, label_ids = None, []
+    for rank, name_prefix in specs:
+        layer, ids = reference_layer(rank, N, name_prefix)
+        offset = (max(result.levels) + 1) if result and result.levels else 0
+        label_ids.append({lab: idx + offset for lab, idx in ids.items()})
+        result = layer if result is None else disjoint_union(result, layer)
+    if result is None:
+        result = TruncatedSCS(N, {}, tuple({} for _ in range(max(0, N))), {})
+    return result, label_ids
+
+
+def reference_extension(scs):
+    """Reference: ``minimal_normal_extension`` with its layers folded
+    pairwise, as (extension, embedding, layer ranks)."""
+    part = equivalence_classes(scs)
+    if part.table.unknown:
+        raise TruncationError("labels undecidable")
+    if part.undecided_pairs:
+        raise TruncationError("pairs undecidable")
+    classes = [{y: part.table.require(y) for y in cls} for cls in part.classes]
+    ranks = [next(iter(labels.values())).rank for labels in classes]
+    for labels, rank in zip(classes, ranks):
+        assert {lab.rank for lab in labels.values()} == {rank}
+        assert len(set(labels.values())) == len(labels)
+    extension, label_ids = reference_union(
+        [(rank, f"L{idx}:") for idx, rank in enumerate(ranks)], scs.max_level
+    )
+    embedding = {}
+    for labels, ids in zip(classes, label_ids):
+        for y, lab in labels.items():
+            embedding[y] = ids[lab]
+    return extension, embedding, ranks
+
+
+def items(scs):
+    """Every part of a structure, each dict as its items in order."""
+    return (
+        scs.max_level,
+        list(scs.levels.items()),
+        list(scs.names.items()),
+        [list(mapping.items()) for mapping in scs.shifts],
+    )
+
+
+def test_layered_structures_equal_the_pairwise_fold():
+    for length in range(4):
+        for dims in product((0, 1, 2), repeat=length):
+            for N in range(-1, 6):
+                specs = [
+                    (rank, f"c{copy}:")
+                    for copy, rank in enumerate(r for r, m in enumerate(dims) for _ in range(m))
+                ]
+                assert items(layered_scs(list(dims), N)) == items(reference_union(specs, N)[0])
+
+
+def assert_extension_equals_the_pairwise_fold(scs) -> bool:
+    """Compare with the reference; False when both find it undecidable."""
+    try:
+        expected = reference_extension(scs)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            minimal_normal_extension(scs)
+        return False
+    result = minimal_normal_extension(scs)
+    assert items(result.extension) == items(expected[0])
+    assert list(result.embedding.items()) == list(expected[1].items())
+    assert result.layer_ranks == expected[2]
+    return True
+
+
+def test_minimal_normal_extension_equals_the_pairwise_fold():
+    fixtures = [prototypical(N) for N in range(0, 6)]
+    fixtures += [example2_scs(N) for N in range(2, 7)]
+    fixtures += [figure2_scs(), layer_minus_root_scs(2, 3), layer_minus_root_scs(3, 4)]
+    fixtures += [layered_scs(dims, N) for dims, N in (([1, 1, 1], 3), ([0, 2, 1], 4), ([2, 0, 1], 3))]
+    for scs in fixtures:
+        assert_extension_equals_the_pairwise_fold(scs)
+    rng = random.Random(29)
+    built = 0
+    for t in range(180):
+        N = rng.randint(1, 5)
+        scs = from_ell(random_valid_ell(rng, N), N)
+        if t % 3 == 2:
+            scs = disjoint_union(scs, from_ell(random_valid_ell(rng, N), N))
+        built += assert_extension_equals_the_pairwise_fold(scs)
+    assert built >= 100
+
+
 # -- classification -----------------------------------------------------------------------------------
 
 
@@ -321,6 +430,15 @@ def test_cohomology_rejects_a_broken_exchange_relation_as_invalid_input(analysis
         analysis(bad)
     assert str(info.value) == (
         "build_complex needs a valid structure: alpha_1 alpha_0 != alpha_0 alpha_0 at 0"
+    )
+
+
+def test_equivalence_classes_rejects_a_broken_exchange_relation():
+    bad = _with_alpha(prototypical(3), 0, 1, 0)
+    with pytest.raises(InvalidStructureError) as info:
+        equivalence_classes(bad)
+    assert str(info.value) == (
+        "equivalence_classes needs a valid structure: alpha_1 alpha_0 != alpha_0 alpha_0 at 0"
     )
 
 

@@ -19,12 +19,11 @@ MODULES = [
     if path.stem not in ("__init__", "fixtures")  # fixtures: the examples module
 ]
 
-# public, yet reached by no command so far: label parsing and roots, the
-# multidegree of a morphism, and paper concepts that wait for a command
+# public, yet reached by no command so far: label parsing and roots, and
+# paper concepts that wait for a command
 ALLOWED = {
     "labels.Label.parse",
     "labels.Label.root",
-    "labels.LambdaMorphism.degree",
     "normal_ext.check_epsilon_lemma",
     "normal_ext.is_normal_scs",
     "spread.roundtrip_from_sch",

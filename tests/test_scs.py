@@ -6,12 +6,11 @@ import pytest
 
 from cosimplex import scs as scs_mod
 from cosimplex.errors import TruncationError
-from cosimplex.fixtures import example2_scs, figure2_scs, layered_scs
+from cosimplex.fixtures import disjoint_union, example2_scs, figure2_scs, layered_scs
 from cosimplex.scs import (
     TruncatedSCS,
     check_saturation,
     check_toy_definetti_scs,
-    disjoint_union,
     ell_violation_index,
     fixed_set,
     from_ell,

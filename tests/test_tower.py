@@ -10,6 +10,7 @@ import pytest
 from cosimplex.errors import InternalInconsistencyError, NotNormalError, PreconditionError
 from cosimplex import tower as tower_mod
 from cosimplex.fixtures import (
+    disjoint_union,
     ell2_tower,
     example2_scs,
     figure2_scs,
@@ -31,7 +32,7 @@ from cosimplex.linalg import (
     subspace_equal,
 )
 from cosimplex.normal_ext import is_normal_scs
-from cosimplex.scs import TruncatedSCS, check_toy_definetti_scs, disjoint_union, from_ell
+from cosimplex.scs import TruncatedSCS, check_toy_definetti_scs, from_ell
 from cosimplex.tower import (
     HessenbergData,
     build_symmetric_rep,
