@@ -7,9 +7,11 @@ The coboundary out of level n is the alternating sum of the cofaces,
 with the top coface the inclusion and d^{-2} = 0 on the zero space below the
 bottom level.  All arithmetic is exact over the rationals: cocycle and
 coboundary dimensions are rank computations, where a floating tolerance could
-manufacture or destroy cohomology.  The coboundary entries are small sign
-sums, so they are summed as ``int``s and d^{n+1} d^n = 0 is checked on sparse
-integer columns; each matrix is then built once, with Fraction entries.
+manufacture or destroy cohomology.  One evaluator, ``_coboundary``, gives
+d^n(e_x) as a sparse ``{element: int}`` sign sum.  Its values are the columns
+of the coboundary matrices (d^{n+1} d^n = 0 is checked on them before each
+matrix is built once, with Fraction entries) and the extended values that
+the cocycle identities and the closed-form cocycles read.
 Each d^n is eliminated once, fraction-free, on its integer rows
 (``Matrix._pivots_and_kernel`` in ``linalg``): the kernel vectors span Z^n
 and the columns at the pivots span B^{n+1}.  Both stay primitive ``int``
@@ -53,10 +55,23 @@ class CochainComplex:
         return self.matrices[n]
 
 
+def _coboundary(scs: TruncatedSCS, n: int, x) -> dict:
+    """d^n(e_x) as ``{element: int}`` with zero coefficients dropped: the
+    signed sum of α_0(x)..α_{n+1}(x), α_i the inclusion for i >= N.  A shift
+    not stored at x raises ``KeyError``."""
+    N = scs.max_level
+    out = {}
+    sign = (-1) ** (n + 1)
+    for i in range(n + 2):
+        y = scs.shifts[i][x] if i < N else x
+        out[y] = out.get(y, 0) + sign
+        sign = -sign
+    return {y: c for y, c in out.items() if c}
+
+
 def build_complex(scs: TruncatedSCS) -> CochainComplex:
-    """Assemble the coboundary matrices from sparse ``{row: int}`` columns
-    read off the shift maps (every source has level <= N-1, so each shift is
-    stored; the top coface α_N is the inclusion) after checking d∘d = 0.
+    """Assemble the coboundary matrices from the columns d^n(e_x) after
+    checking d∘d = 0 on them.
 
     Valid input is not validated: a failed lookup or a failed d∘d check
     first validates, so an invalid structure raises
@@ -65,53 +80,28 @@ def build_complex(scs: TruncatedSCS) -> CochainComplex:
     bases = {}
     for n in range(-1, N + 1):
         bases[n] = sorted(scs.X(n), key=lambda x: (scs.levels[x], x))
-    columns = {}
-    try:
+    try:  # a shift entry missing, or a target off the next level, is a KeyError
+        columns = {n: {x: _coboundary(scs, n, x) for x in bases[n]} for n in range(-1, N)}
+        for n in range(-1, N - 1):
+            upper = columns[n + 1]
+            for col in columns[n].values():
+                acc = {}
+                for y, a in col.items():
+                    for z, b in upper[y].items():
+                        acc[z] = acc.get(z, 0) + a * b
+                if any(acc.values()):
+                    require_valid(scs, "build_complex")
+                    raise InternalInconsistencyError(f"coboundary composition d^{n + 1} d^{n} != 0")
+        matrices = {}
         for n in range(-1, N):
-            index = {x: r for r, x in enumerate(bases[n + 1])}
-            signed = [(scs.shifts[i], (-1) ** (n + 1 - i)) for i in range(min(n + 2, N))]
-            cols = columns[n] = []
-            for x in bases[n]:
-                col = {index[x]: 1} if n + 1 == N else {}
-                for shift, sign in signed:
-                    r = index[shift[x]]
-                    col[r] = col.get(r, 0) + sign
-                cols.append(col)
-    except KeyError:  # a shift entry missing, or a target off the next level
+            index = {y: r for r, y in enumerate(bases[n + 1])}
+            cols = columns.pop(n)
+            entries = {(index[y], c): a for c, x in enumerate(bases[n]) for y, a in cols[x].items()}
+            matrices[n] = Matrix.from_entries(len(bases[n + 1]), len(bases[n]), entries)
+    except KeyError:
         require_valid(scs, "build_complex")
         raise
-    for n in range(-1, N - 1):
-        upper = columns[n + 1]
-        for col in columns[n]:
-            acc = {}
-            for r, a in col.items():
-                for s, b in upper[r].items():
-                    acc[s] = acc.get(s, 0) + a * b
-            if any(acc.values()):
-                require_valid(scs, "build_complex")
-                raise InternalInconsistencyError(f"coboundary composition d^{n + 1} d^{n} != 0")
-    matrices = {}
-    for n in range(-1, N):
-        cols = columns.pop(n)
-        entries = {(r, c): a for c, col in enumerate(cols) for r, a in col.items() if a}
-        matrices[n] = Matrix.from_entries(len(bases[n + 1]), len(cols), entries)
     return CochainComplex(N, bases, matrices)
-
-
-def extended_coboundary(scs: TruncatedSCS, n: int, vec: dict) -> dict:
-    """d^n as an operator on formal element combinations.
-
-    ``vec`` maps element ids to coefficients; every element must have level
-    <= N-1 so that all shifts are evaluable.
-    """
-    out = {}
-    for x, coeff in vec.items():
-        if coeff == 0:
-            continue
-        for i in range(0, n + 2):
-            target = scs.alpha(i, x)
-            out[target] = out.get(target, 0) + (coeff if (n + 1 - i) % 2 == 0 else -coeff)
-    return {x: c for x, c in out.items() if c != 0}
 
 
 @dataclass
@@ -210,14 +200,10 @@ def explicit_cocycles(scs: TruncatedSCS, k: int, cx: CochainComplex | None = Non
         if (k - l) % 2 == 0:
             continue
         for d in sorted(D[l]):
-            vec = {d: 1}
-            if l >= 0:
-                image = extended_coboundary(scs, l - 1, {d: 1})
-                for x, c in image.items():
-                    vec[x] = vec.get(x, 0) - c
             col = [0] * len(basis_k)
-            for x, c in vec.items():
-                col[index[x]] = c
+            col[index[d]] = 1
+            for x, c in _coboundary(scs, l - 1, d).items():
+                col[index[x]] -= c
             vectors.append(primitive(tuple(col)))
     if not subspace_equal(vectors, cx.coboundary(k)._pivots_and_kernel()[1]):
         raise InternalInconsistencyError(
@@ -264,7 +250,7 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
     def image(n: int, x) -> dict:
         """d^n(e_x) as {element: coefficient}."""
         if (n, x) not in images:
-            images[n, x] = extended_coboundary(scs, n, {x: 1})
+            images[n, x] = _coboundary(scs, n, x)
         return images[n, x]
 
     solved = {n: _solved(cx.coboundary(n)) for n in range(-1, N)}
@@ -294,8 +280,6 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
         for l in range(-1, k + 1):
             ok = True
             for x in cx.basis(l):
-                if scs.levels[x] > N - 1:
-                    continue
                 lhs = image(k, x)
                 low = image(l - 1, x)
                 if (k - l) % 2 == 0:

@@ -251,11 +251,20 @@ def minimal_normal_extension(scs: TruncatedSCS) -> ExtensionResult:
     ``TruncationError``.
     """
     require_valid(scs, "minimal_normal_extension")
-    return _extension(scs, equivalence_classes(scs))
+    part = equivalence_classes(scs)
+    layer_ranks = _layer_ranks(scs, part)
+    extension, label_ids = layer_union(
+        [(rank, f"L{idx}:") for idx, rank in enumerate(layer_ranks)], scs.max_level
+    )
+    embedding = {
+        y: ids[part.table.labels[y]] for ids, cls in zip(label_ids, part.classes) for y in cls
+    }
+    return ExtensionResult(extension, embedding, layer_ranks)
 
 
-def _extension(scs: TruncatedSCS, part: ClassPartition) -> ExtensionResult:
-    """``minimal_normal_extension`` from the class partition of ``scs``."""
+def _layer_ranks(scs: TruncatedSCS, part: ClassPartition) -> list:
+    """The label rank of each class of ``part``, the partition of ``scs``:
+    the rank of its layer in the minimal normal extension."""
     if part.table.unknown:
         raise TruncationError(
             "normal labels undecidable for: "
@@ -284,13 +293,7 @@ def _extension(scs: TruncatedSCS, part: ClassPartition) -> ExtensionResult:
                 )
             by_label[lab] = y
         layer_ranks.append(ranks.pop())
-    extension, label_ids = layer_union(
-        [(rank, f"L{idx}:") for idx, rank in enumerate(layer_ranks)], scs.max_level
-    )
-    embedding = {
-        y: ids[part.table.labels[y]] for ids, cls in zip(label_ids, part.classes) for y in cls
-    }
-    return ExtensionResult(extension, embedding, layer_ranks)
+    return layer_ranks
 
 
 # -- classification ----------------------------------------------------------------------
@@ -346,7 +349,7 @@ def classify(scs: TruncatedSCS) -> SCSInvariant:
     the normal labels of the original root elements landing in it."""
     require_valid(scs, "classify")
     part = equivalence_classes(scs)
-    ext = _extension(scs, part)
+    layer_ranks = _layer_ranks(scs, part)
     roots = root_elements(scs)
     layers = []
     for idx, cls in enumerate(part.classes):
@@ -356,7 +359,7 @@ def classify(scs: TruncatedSCS) -> SCSInvariant:
         )
         layers.append(
             LayerInvariant(
-                rank=ext.layer_ranks[idx],
+                rank=layer_ranks[idx],
                 root_labels=tuple(str(l) for l in labels_here),
                 minimal_root_labels=tuple(str(l) for l in _minimal_labels(labels_here)),
             )

@@ -557,3 +557,23 @@ def test_classify_builds_the_class_partition_once(monkeypatch):
     structure = figure2_scs()
     assert classify(structure).multiplicities() == {2: 1}
     assert calls == [structure]
+
+
+def test_classify_builds_no_extension(monkeypatch):
+    # classify reads only the layer ranks; the extension itself is built by
+    # minimal_normal_extension alone, once
+    structures = [layered_scs([1, 1, 1, 1], 6), example2_scs(6), figure2_scs()]
+    calls = []
+    build = normal_ext.layer_union
+
+    def counted(specs, N):
+        calls.append(N)
+        return build(specs, N)
+
+    monkeypatch.setattr(normal_ext, "layer_union", counted)
+    for structure in structures:
+        calls.clear()
+        classify(structure)
+        assert calls == []
+        minimal_normal_extension(structure)
+        assert calls == [structure.max_level]
