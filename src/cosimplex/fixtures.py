@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "prototypical",
-    "example2_ell",
     "example2_scs",
     "figure2_scs",
     "layered_scs",
@@ -42,14 +41,10 @@ __all__ = [
 ]
 
 
-def example2_ell(N: int = 5):
+def example2_scs(N: int = 5) -> TruncatedSCS:
     """Level function (2, 3, 2, 3, 4, 5, ...) extended identically beyond 5."""
     base = [2, 3, 2, 3]
-    return [base[n] if n < 4 else n for n in range(N + 1)]
-
-
-def example2_scs(N: int = 5) -> TruncatedSCS:
-    return from_ell(example2_ell(N), N)
+    return from_ell([base[n] if n < 4 else n for n in range(N + 1)], N)
 
 
 def figure2_scs() -> TruncatedSCS:

@@ -488,10 +488,6 @@ def span_basis(vectors):
     return [tuple(_frac(x) for x in v) for v in vectors if ech.add(v)]
 
 
-def subspace_contains(basis, v):
-    return Echelon(basis).contains(v)
-
-
 def subspace_leq(a_vectors, b_vectors):
     b = Echelon(b_vectors)
     return all(b.contains(v) for v in a_vectors)

@@ -18,31 +18,15 @@ from dataclasses import dataclass
 
 from .errors import InvalidStructureError, TruncationError
 from .labels import Label, enumerate_labels, insertion_sequence, join
-from .scs import Report, TruncatedSCS, infer_normal_labels, normal_label_bits, preimages, require_valid
-
-
-@dataclass
-class NormalLabelTable:
-    """Normal labels for all determinable elements.
-
-    ``exact`` holds directly computed labels, ``inferred`` those propagated to
-    boundary-level elements through the insertion identity, ``unknown`` the
-    element ids the truncation cannot decide.
-    """
-
-    labels: dict
-    inferred: frozenset
-    unknown: frozenset
-
-    def require(self, y) -> Label:
-        if y not in self.labels:
-            raise TruncationError(f"normal label of element {y} is undecidable", items=[y])
-        return self.labels[y]
-
-
-def normal_label_table(scs: TruncatedSCS) -> NormalLabelTable:
-    labels, inferred, unknown = infer_normal_labels(scs)
-    return NormalLabelTable(labels, frozenset(inferred), frozenset(unknown))
+from .scs import (
+    NormalLabelTable,
+    Report,
+    TruncatedSCS,
+    normal_label_bits,
+    normal_label_table,
+    preimages,
+    require_valid,
+)
 
 
 @dataclass

@@ -11,6 +11,9 @@ and the shifts α_0..α_{N-1} are recorded on all elements of level <= N-1.
 Queries that would need deeper data raise ``TruncationError`` or flag their
 result as truncation limited instead of guessing.
 
+The normal label table (``normal_label_table``) is defined here: saturation
+reads it, and ``normal_ext`` builds its decomposition and classification on it.
+
 Every verdict report derives from ``Report``, whose ``to_dict()`` gives ``ok``
 first where the class has it, then each dataclass field in order, shallow.
 """
@@ -335,8 +338,23 @@ def preimages(scs: TruncatedSCS) -> dict:
     return out
 
 
-def infer_normal_labels(scs: TruncatedSCS):
-    """Normal labels of every determinable element: (labels, inferred, unknown).
+@dataclass
+class NormalLabelTable:
+    """Element id -> normal label, with the ids whose label was ``inferred``
+    and the ids the truncation leaves ``unknown``."""
+
+    labels: dict
+    inferred: frozenset
+    unknown: frozenset
+
+    def require(self, y):
+        if y not in self.labels:
+            raise TruncationError(f"normal label of element {y} is undecidable", items=[y])
+        return self.labels[y]
+
+
+def normal_label_table(scs: TruncatedSCS) -> NormalLabelTable:
+    """The normal label of every determinable element.
 
     Labels of elements of level <= N-1 are computed directly.  A level-N
     element that is the image of such an element under some shift inherits
@@ -368,7 +386,7 @@ def infer_normal_labels(scs: TruncatedSCS):
         else:
             labels[y] = candidates.pop()
             inferred.add(y)
-    return labels, inferred, unknown
+    return NormalLabelTable(labels, frozenset(inferred), frozenset(unknown))
 
 
 def saturate(scs: TruncatedSCS) -> TruncatedSCS:
@@ -379,10 +397,11 @@ def saturate(scs: TruncatedSCS) -> TruncatedSCS:
     Level-N elements whose new level cannot be determined raise
     ``TruncationError``.
     """
-    labels, inferred, unknown = infer_normal_labels(scs)
+    table = normal_label_table(scs)
+    unknown = set(table.unknown)
     new_levels = dict(scs.levels)
-    for y, lab in labels.items():
-        if y in inferred and lab.level < scs.max_level:
+    for y, lab in table.labels.items():
+        if y in table.inferred and lab.level < scs.max_level:
             # the element would enter the shift domain, but its shifts were
             # never stored: the truncation cannot represent this
             unknown.add(y)

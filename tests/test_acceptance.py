@@ -60,6 +60,7 @@ from cosimplex.tower import (
     permutation_unitary,
     unitary_equivalence,
 )
+from structures import diag, dims_by_level, random_valid_ell
 
 F = Fraction
 TOL = 1e-10
@@ -67,22 +68,6 @@ TOL = 1e-10
 
 def passed(number, message):
     print(f"ACCEPTANCE {number}: PASS - {message}", file=sys.stderr)
-
-
-def random_valid_ell(rng, N):
-    values = [rng.randint(0, N)]
-    for n in range(1, N + 1):
-        values.append(rng.randint(n, values[n - 1] + 1))
-    return values
-
-
-def diag(*entries):
-    k = len(entries)
-    return Matrix.from_entries(k, k, {(i, i): F(x) for i, x in enumerate(entries)})
-
-
-def dims_by_level(report):
-    return {e.level: e.dim_cohomology for e in report.levels if e.kernel_known}
 
 
 # -- criterion 1 --------------------------------------------------------------------

@@ -25,17 +25,7 @@ from cosimplex.errors import (
 from cosimplex.fixtures import example2_scs, figure2_scs, layer_minus_root_scs, layered_scs
 from cosimplex.linalg import Matrix, primitive, subspace_equal
 from cosimplex.scs import CheckReport, TruncatedSCS, from_ell, prototypical
-
-
-def random_valid_ell(rng, N):
-    values = [rng.randint(0, N)]
-    for n in range(1, N + 1):
-        values.append(rng.randint(n, values[n - 1] + 1))
-    return values
-
-
-def dims_by_level(report):
-    return {e.level: e.dim_cohomology for e in report.levels if e.kernel_known}
+from structures import dims_by_level, random_valid_ell, rref, rref_kernel
 
 
 # -- coboundary matrices -----------------------------------------------------------
@@ -304,46 +294,12 @@ def test_report_flags_top_level():
 # elimination, and every d^n(e_x) is evaluated where it is used.
 
 
-def _gauss_jordan(rows, ncols):
-    """(reduced row echelon rows, pivot columns) of dense Fraction rows."""
-    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        if m[r][c] != 1:
-            m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return m[: len(pivots)], pivots
-
-
-def _ref_kernel(mat):
-    R, pivots = _gauss_jordan([mat.row(i) for i in range(mat.nrows)], mat.ncols)
-    out = []
-    for f in range(mat.ncols):
-        if f not in pivots:
-            v = [Fraction(0)] * mat.ncols
-            v[f] = Fraction(1)
-            for row, p in zip(R, pivots):
-                v[p] = -row[f]
-            out.append(tuple(v))
-    return out
-
-
 def _ref_column_basis(mat):
-    _, pivots = _gauss_jordan([mat.row(i) for i in range(mat.nrows)], mat.ncols)
-    return [mat.column(j) for j in pivots]
+    return [mat.column(j) for j in rref(mat)[1]]
 
 
 def _ref_rank(vectors):
-    return len(_gauss_jordan(vectors, len(vectors[0]))[1]) if vectors else 0
+    return len(rref(Matrix(vectors))[1]) if vectors else 0
 
 
 def _ref_leq(a, b):
@@ -361,7 +317,7 @@ def _ref_intersection(a, b):
     stacked = Matrix.from_columns(list(a) + [tuple(-x for x in v) for v in b])
     return [
         tuple(sum(x[j] * a[j][i] for j in range(len(a))) for i in range(len(a[0])))
-        for x in _ref_kernel(stacked)
+        for x in rref_kernel(stacked)
     ]
 
 
@@ -383,7 +339,7 @@ def reference_cohomology(cx):
         dim = len(cx.basis(k))
         bound = _ref_column_basis(cx.coboundary(k - 1))
         if k <= N - 1:
-            cyc = _ref_kernel(cx.coboundary(k))
+            cyc = rref_kernel(cx.coboundary(k))
             if not _ref_leq(bound, cyc):
                 raise InternalInconsistencyError(f"coboundaries not inside cocycles at level {k}")
             entry = LevelCohomology(k, dim, len(cyc), len(bound), len(cyc) - len(bound), True,
@@ -412,7 +368,7 @@ def reference_identities(scs):
         n = len(cx.basis(src_level))
         return embed([tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)], dst_level)
 
-    cocycles = {k: _ref_kernel(cx.coboundary(k)) for k in range(0, N)}
+    cocycles = {k: rref_kernel(cx.coboundary(k)) for k in range(0, N)}
     for k in range(0, N):
         Z_k = cocycles[k]
         B_k = _ref_column_basis(cx.coboundary(k - 1))

@@ -9,7 +9,6 @@ structures.  The call counts pin that each analysis orthogonalizes once.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -38,6 +37,7 @@ from cosimplex.tower import (
     labeled_subspaces,
     root_dimension_sequence,
 )
+from structures import random_valid_ell, with_last_shift_broken
 
 # -- references -----------------------------------------------------------------------
 
@@ -108,13 +108,6 @@ def walked_subspaces(tower):
 
 
 # -- inputs ---------------------------------------------------------------------------
-
-
-def random_valid_ell(rng, N):
-    values = [rng.randint(0, N)]
-    for n in range(1, N + 1):
-        values.append(rng.randint(n, values[n - 1] + 1))
-    return values
 
 
 def fixture_structures():
@@ -198,15 +191,6 @@ def test_labeled_subsets_equal_the_root_walks():
         assert list(got.items()) == list(walked_subsets(scs).items())
         checked += len(got)
     assert checked > 1000
-
-
-def with_last_shift_broken(t):
-    """``t`` with its last shift composed with a coordinate swap: the
-    exchange relations fail, so images depend on the insertion word taken."""
-    d = t.ambient_dim
-    swap = {(i, i): 1 for i in range(1, d - 1)}
-    swap.update({(0, d - 1): 1, (d - 1, 0): 1} if d > 1 else {(0, 0): -1})
-    return replace(t, shifts=t.shifts[:-1] + [t.shifts[-1] * Matrix.from_entries(d, d, swap)])
 
 
 def test_labeled_subspaces_equal_the_root_walks():

@@ -1,7 +1,7 @@
 """Exact linear algebra: the access surface of ``Matrix``, the
 pseudo-inverse and the partial isometries and projections built from it,
 fixed vectors, column selection, the subspace tests, kernel and
-inverse against a dense Gauss-Jordan reference ``rref`` and the
+inverse against the dense Gauss-Jordan reference ``rref`` and the
 determinism conventions of the kernel basis; the integer kernels (products,
 ``dot``, ``gram_schmidt``, the fraction-free ``Echelon``) against dense
 ``Fraction`` references on large and mixed denominators, the cached integer
@@ -29,10 +29,10 @@ from cosimplex.linalg import (
     primitive,
     pseudo_inverse,
     span_basis,
-    subspace_contains,
     subspace_equal,
     subspace_leq,
 )
+from structures import rref, rref_kernel
 
 F = Fraction
 
@@ -317,26 +317,6 @@ def test_every_memo_in_the_package_is_one_of_the_reviewed_few():
 # -- the subspace tests against rref, an independent elimination -----------------
 
 
-def rref(A):
-    """Reduced row echelon form of ``A`` by dense Gauss-Jordan elimination:
-    (list of rows, pivot column tuple)."""
-    m = [list(A.row(i)) for i in range(A.nrows)]
-    pivots = []
-    for c in range(A.ncols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return m, tuple(pivots)
-
-
 def rref_pivots(m, cols):
     return rref(Matrix.from_columns(cols, nrows=m))[1]
 
@@ -357,9 +337,9 @@ def test_subspace_contains_exactly_when_the_system_is_solvable(data):
         rest = cols[:j] + cols[j + 1 :]
         # consistent exactly when the right-hand side is no pivot column
         solvable = len(rest) not in rref_pivots(m, rest + [v])
-        assert subspace_contains(rest, v) == solvable
+        assert subspace_leq([v], rest) == solvable
         assert subspace_leq([v, v], rest) == solvable
-    assert subspace_contains(cols, total)
+    assert subspace_leq([total], cols)
 
 
 @settings(max_examples=80, deadline=None)
@@ -389,16 +369,7 @@ def test_rank_independent_columns_and_kernel_agree_with_rref(data):
 def test_kernel_equals_the_reference_reduced_form(data):
     m, cols = data
     A = Matrix.from_columns(cols, nrows=m)
-    R, pivots = rref(A)
-    free = [c for c in range(A.ncols) if c not in pivots]
-    expected = []
-    for fc in free:
-        v = [F(0)] * A.ncols
-        v[fc] = F(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        expected.append(tuple(v))
-    assert A.kernel().columns() == expected
+    assert A.kernel().columns() == rref_kernel(A)
 
 
 @settings(max_examples=80, deadline=None)
@@ -569,19 +540,11 @@ def test_gram_schmidt_is_orthogonal_primitive_and_spans_the_input(data):
 )))
 def test_echelon_answers_equal_rref_on_wide_entries(data):
     A, S = data
-    R, pivots = rref(A)
+    pivots = rref(A)[1]
     assert A.independent_columns() == pivots
     assert A.rank() == len(pivots)
-    free = [c for c in range(A.ncols) if c not in pivots]
-    expected = []
-    for fc in free:
-        x = [F(0)] * A.ncols
-        x[fc] = F(1)
-        for r, pc in enumerate(pivots):
-            x[pc] = -R[r][fc]
-        expected.append(tuple(x))
     K = A.kernel()
-    assert (K.nrows, K.columns()) == (A.ncols, expected)
+    assert (K.nrows, K.columns()) == (A.ncols, rref_kernel(A))
     n = S.nrows
     Ri, pi = rref(S.hstack(Matrix.identity(n)))
     if pi[:n] != tuple(range(n)):

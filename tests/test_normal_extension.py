@@ -39,13 +39,7 @@ from cosimplex.scs import (
     validate,
 )
 from cosimplex.tower import from_scs
-
-
-def random_valid_ell(rng, N):
-    values = [rng.randint(0, N)]
-    for n in range(1, N + 1):
-        values.append(rng.randint(n, values[n - 1] + 1))
-    return values
+from structures import random_valid_ell
 
 
 # -- normal labels ------------------------------------------------------------------
@@ -393,6 +387,7 @@ def _with_alpha(scs, i, x, y):
         ("from_scs", from_scs),
         ("labeled_subsets", labeled_subsets),
         ("check_epsilon_lemma", check_epsilon_lemma),
+        ("equivalence_classes", equivalence_classes),
         ("minimal_normal_extension", minimal_normal_extension),
         ("classify", classify),
     ],
@@ -409,7 +404,6 @@ def test_analyses_reject_an_invalid_structure_by_its_first_violation(name, analy
     [
         ("build_complex", build_complex),
         ("build_complex", check_cocycle_identities),
-        ("equivalence_classes", equivalence_classes),
     ],
 )
 def test_analyses_without_validation_reject_a_dangling_target_where_they_meet_it(name, analysis):

@@ -19,13 +19,7 @@ from cosimplex.scs import (
     saturate,
     validate,
 )
-
-
-def random_valid_ell(rng, N):
-    values = [rng.randint(0, N)]
-    for n in range(1, N + 1):
-        values.append(rng.randint(n, values[n - 1] + 1))
-    return values
+from structures import random_valid_ell
 
 
 # -- prototypical -----------------------------------------------------------------

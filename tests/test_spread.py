@@ -25,13 +25,9 @@ from cosimplex.spread import (
     roundtrip_from_sch,
 )
 from cosimplex.tower import check_tower, from_scs, innovation_bases
+from structures import diag, random_valid_ell
 
 F = Fraction
-
-
-def diag(*entries):
-    k = len(entries)
-    return Matrix.from_entries(k, k, {(i, i): F(x) for i, x in enumerate(entries)})
 
 
 # -- construction from a contraction ----------------------------------------------------
@@ -473,10 +469,7 @@ def test_roundtrip_families_are_always_spreadable():
     towers = [from_scs(prototypical(5)), ell2_tower(4), from_scs(layered_scs([0, 2, 1], 3))]
     for _ in range(15):
         N = rng.randint(2, 5)
-        values = [rng.randint(0, N)]
-        for n in range(1, N + 1):
-            values.append(rng.randint(n, values[n - 1] + 1))
-        towers.append(from_scs(from_ell(values, N)))
+        towers.append(from_scs(from_ell(random_valid_ell(rng, N), N)))
     for tower in towers:
         fam = roundtrip_from_sch(tower)
         if fam.k_dim == 0 or fam.count < 2:

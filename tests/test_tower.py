@@ -51,6 +51,7 @@ from cosimplex.tower import (
     root_space,
     unitary_equivalence,
 )
+from structures import random_valid_ell, with_last_shift_broken
 
 
 def e(i, dim):
@@ -172,13 +173,6 @@ def test_definetti_decides_each_innovation_shift_once(monkeypatch):
     tower = from_scs(layered_scs([1, 1, 1], 4))
     assert check_toy_definetti(tower).ok
     assert len(calls) == 4 * 5 // 2  # one per pair 0 <= i <= k <= N-1
-
-
-def random_valid_ell(rng, N):
-    values = [rng.randint(0, N)]
-    for n in range(1, N + 1):
-        values.append(rng.randint(n, values[n - 1] + 1))
-    return values
 
 
 def test_definetti_dictionary_agrees_between_set_and_tower():
@@ -626,13 +620,6 @@ def _hessenberg_records(report):
     return out
 
 
-def random_valid_ell(rng, N):
-    values = [rng.randint(0, N)]
-    for n in range(1, N + 1):
-        values.append(rng.randint(n, values[n - 1] + 1))
-    return values
-
-
 def _skew(B):
     """The same span, by the columns b_1, b_1 + b_2, ...: a Gram matrix that
     is not the identity."""
@@ -659,15 +646,11 @@ def _oracle_towers():
     towers = [from_scs(s) for s in structures] + [identity_shift_tower(3), ell2_tower(3)]
     out = []
     for t in towers:
-        d = t.ambient_dim
-        swap = {(i, i): 1 for i in range(1, d - 1)}
-        swap.update({(0, d - 1): 1, (d - 1, 0): 1} if d > 1 else {(0, 0): -1})
-        broken = t.shifts[:-1] + [t.shifts[-1] * Matrix.from_entries(d, d, swap)]
-        rotated = rotate_tower(t, random_rational_rotation(d, random.Random(len(out))))
+        rotated = rotate_tower(t, random_rational_rotation(t.ambient_dim, random.Random(len(out))))
         out += [
             t,
             replace(rotated, level_bases=[_skew(B) for B in rotated.level_bases]),
-            replace(t, shifts=broken),
+            with_last_shift_broken(t),
         ]
     return out
 
