@@ -8,13 +8,13 @@ with the top coface the inclusion and d^{-2} = 0 on the zero space below the
 bottom level.  All arithmetic is exact over the rationals: cocycle and
 coboundary dimensions are rank computations, where a floating tolerance could
 manufacture or destroy cohomology.  One evaluator, ``_coboundary``, gives
-d^n(e_x) as a sparse ``{element: int}`` sign sum.  Its values are the columns
-of the coboundary matrices (d^{n+1} d^n = 0 is checked on them before each
-matrix is built once, with Fraction entries) and the extended values that
-the cocycle identities and the closed-form cocycles read.
-Each d^n is eliminated once, fraction-free, on its integer rows
-(``Matrix._pivots_and_kernel`` in ``linalg``): the kernel vectors span Z^n
-and the columns at the pivots span B^{n+1}.  Both stay primitive ``int``
+d^n(e_x) as a sparse ``{element: int}`` sign sum.  The complex keeps its
+values for x in C^n as the columns of d^n, checked for d^{n+1} d^n = 0; the
+cocycle identities and the closed-form cocycles read those columns, and
+evaluate only the extended values, for x above level n.
+Each d^n is eliminated once, fraction-free, on the integer rows its columns
+transpose to (``_pivots_and_kernel`` in ``linalg``): the kernel vectors span
+Z^n and the columns at the pivots span B^{n+1}.  Both stay primitive ``int``
 lists until the report writes them as strings.
 
 Levels -1..N-1 of a level-N truncation carry full information (both the
@@ -28,31 +28,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .linalg import Matrix, _primitive_ints, primitive, subspace_equal, subspace_leq
+from .linalg import _dense, _ints, _pivots_and_kernel, _primitive_ints, primitive, subspace_equal, subspace_leq
 from .scs import CheckReport, Report, TruncatedSCS, innovation_shift_failures, require_valid
 
 
 @dataclass
 class CochainComplex:
-    """Coboundary matrices of a truncated structure of level ``max_level`` (N).
+    """Coboundaries of a truncated structure of level ``max_level`` (N).
 
     bases[n] is the ordered element basis of the level-n cochain space
-    (elements of level <= n, sorted by level then id); matrices[n] is d^n as a
-    matrix from bases[n] to bases[n+1], for n = -1..N-1.
+    (elements of level <= n, sorted by level then id); columns[n][x] is
+    d^n(e_x) for x in bases[n], as ``{element of bases[n+1]: nonzero
+    coefficient}``, for n = -1..N-1.  ``build_complex`` gives ``int``
+    coefficients; ``Fraction`` ones are read the same way.
     """
 
     max_level: int
     bases: dict
-    matrices: dict
+    columns: dict
 
     def basis(self, n: int):
         return self.bases.get(n, [])
-
-    def coboundary(self, n: int) -> Matrix:
-        """d^n for -2 <= n <= N-1 (the zero map below the bottom level)."""
-        if n == -2:
-            return Matrix.zeros(len(self.basis(-1)), 0)
-        return self.matrices[n]
 
 
 def _coboundary(scs: TruncatedSCS, n: int, x) -> dict:
@@ -70,8 +66,7 @@ def _coboundary(scs: TruncatedSCS, n: int, x) -> dict:
 
 
 def build_complex(scs: TruncatedSCS) -> CochainComplex:
-    """Assemble the coboundary matrices from the columns d^n(e_x) after
-    checking d∘d = 0 on them.
+    """The columns d^n(e_x) of every coboundary, checked for d∘d = 0.
 
     Valid input is not validated: a failed lookup or a failed d∘d check
     first validates, so an invalid structure raises
@@ -92,16 +87,14 @@ def build_complex(scs: TruncatedSCS) -> CochainComplex:
                 if any(acc.values()):
                     require_valid(scs, "build_complex")
                     raise InternalInconsistencyError(f"coboundary composition d^{n + 1} d^{n} != 0")
-        matrices = {}
-        for n in range(-1, N):
-            index = {y: r for r, y in enumerate(bases[n + 1])}
-            cols = columns.pop(n)
-            entries = {(index[y], c): a for c, x in enumerate(bases[n]) for y, a in cols[x].items()}
-            matrices[n] = Matrix.from_entries(len(bases[n + 1]), len(bases[n]), entries)
+        # d∘d reads every target but those of the top coboundary d^{N-1}
+        for col in columns.get(N - 1, {}).values():
+            if not col.keys() <= scs.levels.keys():
+                raise KeyError(f"a target of d^{N - 1} is not an element")
     except KeyError:
         require_valid(scs, "build_complex")
         raise
-    return CochainComplex(N, bases, matrices)
+    return CochainComplex(N, bases, columns)
 
 
 @dataclass
@@ -128,12 +121,14 @@ class CohomologyReport(Report):
         raise KeyError(k)
 
 
-def _solved(mat: Matrix) -> tuple:
-    """(image basis, kernel basis) of one coboundary from one elimination:
+def _solved(cx: CochainComplex, n: int) -> tuple:
+    """(image basis, kernel basis) of d^n from one elimination of its rows:
     the primitive integer columns at its pivots and its primitive integer
-    kernel vectors."""
-    pivots, kernel = mat._pivots_and_kernel()
-    return [_primitive_ints(mat.column(j)) for j in pivots], kernel
+    kernel vectors.  d^{-2} has no columns, so it is the empty map."""
+    index = {y: r for r, y in enumerate(cx.basis(n + 1))}
+    cols = [_dense(((index[y], a) for y, a in cx.columns[n][x].items()), len(index)) for x in cx.basis(n)]
+    pivots, kernel = _pivots_and_kernel([_ints(row) for row in zip(*cols)], len(cols))
+    return [_primitive_ints(cols[j]) for j in pivots], kernel
 
 
 def _strings(vectors) -> list:
@@ -143,7 +138,7 @@ def _strings(vectors) -> list:
 def cohomology(cx: CochainComplex) -> CohomologyReport:
     """Exact cocycle/coboundary/cohomology dimensions with rational bases."""
     N = cx.max_level
-    solved = {n: _solved(cx.coboundary(n)) for n in range(-2, N)}
+    solved = {n: _solved(cx, n) for n in range(-2, N)}
     levels = []
     caveats = []
     for k in range(-1, N + 1):
@@ -205,7 +200,7 @@ def explicit_cocycles(scs: TruncatedSCS, k: int, cx: CochainComplex | None = Non
             for x, c in _coboundary(scs, l - 1, d).items():
                 col[index[x]] -= c
             vectors.append(primitive(tuple(col)))
-    if not subspace_equal(vectors, cx.coboundary(k)._pivots_and_kernel()[1]):
+    if not subspace_equal(vectors, _solved(cx, k)[1]):
         raise InternalInconsistencyError(
             f"closed-form cocycles at level {k} do not span the elimination kernel"
         )
@@ -216,11 +211,9 @@ def _meet_prefix(vectors, m: int) -> list:
     """Vectors spanning span(vectors) ∩ the first m coordinates, written on
     those m coordinates: V c for each kernel vector c of the rows of V past
     the first m, V having the given vectors as columns."""
-    if not vectors:
-        return []
-    tail = Matrix.from_columns([v[m:] for v in vectors], nrows=len(vectors[0]) - m)
+    tail = [_ints(row) for row in list(zip(*vectors))[m:]]
     out = []
-    for c in tail._pivots_and_kernel()[1]:
+    for c in _pivots_and_kernel(tail, len(vectors))[1]:
         w = [0] * m
         for a, v in zip(c, vectors):
             if a:
@@ -240,7 +233,8 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
 
     The bases are level-ordered, so each lower cochain space is a coordinate
     prefix of the next, and the cocycles and coboundaries are met with it
-    there.  Each d^n(e_x) is evaluated once per call.
+    there.  The complex holds d^n(e_x) for x in C^n, and each extended
+    value, for x above level n, is evaluated once per call.
     """
     N = scs.max_level
     cx = build_complex(scs)
@@ -249,11 +243,13 @@ def check_cocycle_identities(scs: TruncatedSCS) -> CheckReport:
 
     def image(n: int, x) -> dict:
         """d^n(e_x) as {element: coefficient}."""
+        if scs.levels[x] <= n:
+            return cx.columns[n][x]
         if (n, x) not in images:
             images[n, x] = _coboundary(scs, n, x)
         return images[n, x]
 
-    solved = {n: _solved(cx.coboundary(n)) for n in range(-1, N)}
+    solved = {n: _solved(cx, n) for n in range(-1, N)}
     cocycles = {k: solved[k][1] for k in range(0, N)}
     for k in range(0, N):
         Z_k = cocycles[k]

@@ -19,12 +19,12 @@ Determinism conventions used throughout the package:
   and a positive pivot, which is unique for a given row space; kernel and
   inverse read their answers off it, and inverse divides by the pivot only
   in the columns it returns;
-* a matrix is eliminated by feeding ``Echelon`` its cached integer rows
-  (``Matrix._echelon``): ``rank`` and ``independent_columns`` read the
-  pivots, and ``Matrix._pivots_and_kernel`` is the one routine that reads
-  the pivot columns and the primitive integer kernel vectors off one
-  ``_rref`` pass, before any division; ``kernel`` is its Fraction view,
-  and the cohomology layer calls it directly;
+* a matrix is eliminated by feeding ``Echelon`` its rows in ``_ints`` form
+  (``_echelon``): ``rank`` and ``independent_columns`` read the pivots, and
+  ``_pivots_and_kernel`` is the one routine that reads the pivot columns
+  and the primitive integer kernel vectors off one ``_rref`` pass, before
+  any division; ``Matrix.kernel`` is its Fraction view on the cached
+  integer rows, and the cohomology layer hands it integer rows of its own;
 * kernel bases set one free variable to 1 in ascending index order;
 * fixed vectors and the complements the tower layer cuts out are the images
   B x of those kernel vectors x (``_kernel_image``), each rescaled by
@@ -88,8 +88,9 @@ def _ints(v):
                     den = den // gcd(den, d) * d
                 nonzero.append((j, n, d))
     except AttributeError:
-        if all(type(x) is int for x in v):
-            return [(j, x) for j, x in enumerate(v) if x], 1
+        pairs = [(j, x) for j, x in enumerate(v) if x]
+        if all(type(x) is int for _, x in pairs):
+            return pairs, 1
         return _ints([_frac(x) for x in v])
     if den == 1:
         return [(j, n) for j, n, _ in nonzero], 1
@@ -287,49 +288,13 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _echelon(self) -> Echelon:
-        """``Echelon`` of the rows, fed their cached integer form: a row
-        scaled by a positive integer spans the same line, so the pivots and
-        the reduced row echelon form are those of the rows themselves."""
-        ech = Echelon()
-        for pairs, _ in self._int_form():
-            ech._keep(_eliminate(_dense(pairs, self.ncols), ech._rows))
-        return ech
-
-    def _pivots_and_kernel(self) -> tuple:
-        """(pivot columns, kernel vectors) from one elimination of the
-        integer rows and one ``_rref`` pass.
-
-        The pivot columns, ascending, are those of the reduced row echelon
-        form R, which are the greedy first-come independent columns.  There
-        is one kernel vector per free column f, ascending: x[f] = 1 and
-        x[p] = -R[p, f] at each pivot p, rescaled to a primitive list of
-        ``int``s (coprime, first nonzero entry positive)."""
-        n = self.ncols
-        R = self._echelon()._rref(n)
-        pivots = [c for c, _ in R]
-        taken = set(pivots)
-        kernel = []
-        for f in range(n):
-            if f in taken:
-                continue
-            hits = [(c, row) for c, row in R if row[f]]
-            scale = lcm(*(row[c] for c, row in hits))
-            x = [0] * n
-            x[f] = scale
-            for c, row in hits:
-                x[c] = -row[f] * (scale // row[c])
-            g = _content(x)
-            kernel.append([a // g for a in x])
-        return pivots, kernel
-
     def rank(self):
-        return len(self._echelon())
+        return len(_echelon(self._int_form(), self.ncols))
 
     def kernel(self):
         """Columns form a deterministic basis of the null space: the
         ``_pivots_and_kernel`` vectors, each divided by its free entry."""
-        pivots, kernel = self._pivots_and_kernel()
+        pivots, kernel = _pivots_and_kernel(self._int_form(), self.ncols)
         free = sorted(set(range(self.ncols)).difference(pivots))
         cols = [_fractions(x, x[f]) for f, x in zip(free, kernel)]
         return Matrix.from_columns(cols, nrows=self.ncols)
@@ -337,13 +302,13 @@ class Matrix:
     def independent_columns(self):
         """Indices of a greedy (first-come) maximal independent column set;
         they are the pivot columns of the reduced row echelon form."""
-        return tuple(sorted(c for c, _, _ in self._echelon()._rows))
+        return tuple(sorted(c for c, _, _ in _echelon(self._int_form(), self.ncols)._rows))
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("only square matrices have inverses")
         n = self.nrows
-        R = self.hstack(Matrix.identity(n))._echelon()._rref(2 * n)
+        R = _echelon(self.hstack(Matrix.identity(n))._int_form(), 2 * n)._rref(2 * n)
         if any(c != i for i, (c, _) in enumerate(R)):
             raise ValueError("matrix is singular")
         return Matrix._of([_fractions(row[n:], row[c]) for c, row in R], n)
@@ -463,6 +428,43 @@ class Echelon:
             done.append((c, row[c], [(j, x) for j, x in enumerate(row) if x]))
             out.append((c, row))
         return sorted(out, key=lambda t: t[0])
+
+
+def _echelon(rows, ncols) -> Echelon:
+    """``Echelon`` of the ``ncols`` wide rows given in ``_ints`` form: a row
+    scaled by a positive integer spans the same line, so the pivots and the
+    reduced row echelon form are those of the rows themselves."""
+    ech = Echelon()
+    for pairs, _ in rows:
+        ech._keep(_eliminate(_dense(pairs, ncols), ech._rows))
+    return ech
+
+
+def _pivots_and_kernel(rows, ncols) -> tuple:
+    """(pivot columns, kernel vectors) of the ``ncols`` wide rows given in
+    ``_ints`` form, from one elimination and one ``_rref`` pass.
+
+    The pivot columns, ascending, are those of the reduced row echelon form
+    R, which are the greedy first-come independent columns.  There is one
+    kernel vector per free column f, ascending: x[f] = 1 and x[p] = -R[p, f]
+    at each pivot p, rescaled to a primitive list of ``int``s (coprime,
+    first nonzero entry positive)."""
+    R = _echelon(rows, ncols)._rref(ncols)
+    pivots = [c for c, _ in R]
+    taken = set(pivots)
+    kernel = []
+    for f in range(ncols):
+        if f in taken:
+            continue
+        hits = [(c, row) for c, row in R if row[f]]
+        scale = lcm(*(row[c] for c, row in hits))
+        x = [0] * ncols
+        x[f] = scale
+        for c, row in hits:
+            x[c] = -row[f] * (scale // row[c])
+        g = _content(x)
+        kernel.append([a // g for a in x])
+    return pivots, kernel
 
 
 def _eliminate(work, rows) -> list:

@@ -129,11 +129,12 @@ class ClassPartition:
 def equivalence_classes(scs: TruncatedSCS) -> ClassPartition:
     """Partition elements into classes destined for one layer each.
 
-    Every shift image is equivalent to its source, which resolves all
-    equivalences that are visible inside the truncation; remaining same-rank
-    cross-class pairs are decided by pushing both elements to the join of
-    their labels, and flagged undecided when the pushes run off the stored
-    levels.
+    Every shift image is equivalent to its source, so the classes are the
+    connected components of the shift graph.  Pushing two classes' elements
+    to the join of their labels applies stored shifts only, so the pushes
+    stay in their own classes and never meet; a same-rank pair of classes is
+    flagged undecided when a label is undecidable or a push runs off the
+    stored levels.
     """
     require_valid(scs, "equivalence_classes")
     parent = {y: y for y in scs.levels}
@@ -159,8 +160,6 @@ def equivalence_classes(scs: TruncatedSCS) -> ClassPartition:
     for idx_a in range(len(reps)):
         for idx_b in range(idx_a + 1, len(reps)):
             a, b = reps[idx_a], reps[idx_b]
-            if find(a) == find(b):
-                continue
             la, lb = table.labels.get(a), table.labels.get(b)
             if la is None or lb is None:
                 undecided.append({"pair": [a, b], "reason": "label undecidable"})
@@ -169,13 +168,10 @@ def equivalence_classes(scs: TruncatedSCS) -> ClassPartition:
                 continue
             target = join(la, lb)
             try:
-                pa = scs.alpha_word(insertion_sequence(la, target), a)
-                pb = scs.alpha_word(insertion_sequence(lb, target), b)
+                scs.alpha_word(insertion_sequence(la, target), a)
+                scs.alpha_word(insertion_sequence(lb, target), b)
             except TruncationError:
                 undecided.append({"pair": [a, b], "reason": "push exceeds truncation"})
-                continue
-            if pa == pb:
-                union(a, b)
 
     groups = {}
     for y in scs.levels:

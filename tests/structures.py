@@ -31,6 +31,16 @@ def dims_by_level(report):
     return {e.level: e.dim_cohomology for e in report.levels if e.kernel_known}
 
 
+def coboundary_matrix(cx, n):
+    """d^n of the ``CochainComplex`` as a Matrix from ``cx.basis(n)`` to
+    ``cx.basis(n + 1)``, read off its columns; d^{-2} is the zero map from
+    the zero space."""
+    index = {y: r for r, y in enumerate(cx.basis(n + 1))}
+    src = cx.basis(n)
+    entries = {(index[y], c): a for c, x in enumerate(src) for y, a in cx.columns[n][x].items()}
+    return Matrix.from_entries(len(index), len(src), entries)
+
+
 def rref(A):
     """Reduced row echelon form of the Matrix ``A`` by dense Fraction
     Gauss-Jordan elimination: (its nonzero rows, pivot column tuple)."""

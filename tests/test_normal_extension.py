@@ -169,6 +169,55 @@ def test_equivalence_classes_disjoint_union():
     assert len(part.classes) == 2
 
 
+def _shift_closure(scs, seeds):
+    """The sub-structure on ``seeds`` and every element their shifts reach."""
+    keep, todo = set(), list(seeds)
+    while todo:
+        x = todo.pop()
+        if x not in keep:
+            keep.add(x)
+            todo += [m[x] for m in scs.shifts if x in m]
+    shifts = tuple({x: y for x, y in m.items() if x in keep} for m in scs.shifts)
+    return TruncatedSCS(scs.max_level, {x: scs.levels[x] for x in keep}, shifts)
+
+
+def _shift_components(scs):
+    """Connected components of the undirected graph x -- alpha_i(x)."""
+    edges = {x: set() for x in scs.levels}
+    for m in scs.shifts:
+        for x, y in m.items():
+            edges[x].add(y)
+            edges[y].add(x)
+    out, seen = [], set()
+    for x in sorted(scs.levels):
+        if x not in seen:
+            component, todo = set(), [x]
+            while todo:
+                y = todo.pop()
+                if y not in component:
+                    component.add(y)
+                    todo += edges[y]
+            seen |= component
+            out.append(sorted(component))
+    return out
+
+
+def test_equivalence_classes_are_the_shift_graph_components():
+    # a push to the join of two labels applies stored shifts only, so it
+    # never joins two components; the pushes only flag undecided pairs
+    rng = random.Random(2301)
+    bases = [layered_scs(d, N) for d, N in (([1, 1, 1], 5), ([0, 2, 1], 4), ([2, 0, 1], 4), ([1, 1, 1, 1], 4))]
+    split = undecided = 0
+    for _ in range(1000):
+        scs = rng.choice(bases)
+        sub = _shift_closure(scs, rng.sample(sorted(scs.levels), rng.randint(1, 4)))
+        part = equivalence_classes(sub)
+        assert part.classes == _shift_components(sub)
+        split += len(part.classes) > 1
+        undecided += bool(part.undecided_pairs)
+    assert split >= 300 and undecided >= 100
+
+
 # -- minimal normal extension ----------------------------------------------------------------------
 
 
@@ -400,19 +449,23 @@ def test_analyses_reject_an_invalid_structure_by_its_first_violation(name, analy
 
 
 @pytest.mark.parametrize(
-    "name, analysis",
+    "name, analysis, x",
     [
-        ("build_complex", build_complex),
-        ("build_complex", check_cocycle_identities),
+        ("build_complex", build_complex, 0),
+        ("build_complex", check_cocycle_identities, 0),
+        # alpha_0(2) is read only by the top coboundary d^2, whose targets
+        # no d∘d composition looks up
+        ("build_complex", build_complex, 2),
+        ("build_complex", check_cocycle_identities, 2),
     ],
 )
-def test_analyses_without_validation_reject_a_dangling_target_where_they_meet_it(name, analysis):
+def test_analyses_without_validation_reject_a_dangling_target_where_they_meet_it(name, analysis, x):
     # valid input is not validated: the first lookup that fails validates,
     # so the error names the function that made it
-    bad = _with_alpha(prototypical(3), 0, 0, 99)
+    bad = _with_alpha(prototypical(3), 0, x, 99)
     with pytest.raises(InvalidStructureError) as info:
         analysis(bad)
-    assert str(info.value) == f"{name} needs a valid structure: alpha_0(0) is not an element"
+    assert str(info.value) == f"{name} needs a valid structure: alpha_0({x}) is not an element"
 
 
 @pytest.mark.parametrize("analysis", [build_complex, check_cocycle_identities])

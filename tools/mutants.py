@@ -10,7 +10,9 @@ checks that the unmutated copy passes every named test, then applies one
 mutant at a time and runs only its named tests against the copy; every one
 of them must fail.  It prints one line per mutant and exits 1 if any mutant
 is missed or any snippet does not occur exactly once.  Not part of the test
-suite: each mutant costs one pytest process.
+suite: each mutant costs one pytest process.  The tests run under the
+``mutants`` hypothesis profile of ``tests/conftest.py``, which does not
+shrink a failing example.
 """
 
 import json
@@ -31,7 +33,8 @@ def failed_tests(copy: Path, tests) -> set:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONHASHSEED": "0",
            "PYTHONDONTWRITEBYTECODE": "1"}  # a same-size mutant must not meet a stale .pyc
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--hypothesis-profile=mutants", *tests],
         cwd=copy, env=env, capture_output=True, text=True, timeout=600,
     )
     out = set()
